@@ -22,6 +22,7 @@ restored only by the final renormalization.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -79,30 +80,54 @@ def substep_grid(grid: LatticeGrid, drift: NDArray, dt: float) -> LatticeGrid:
     return LatticeGrid(grid.counts, flow @ grid.basis, flow @ grid.center)
 
 
+def _flow_powers(flow: NDArray, x: NDArray, substeps: int) -> NDArray:
+    """``flow^s @ x`` for ``s = 0 .. substeps``, stacked along a new first axis.
+
+    Each entry is the same ``flow @ previous`` product that
+    :func:`substep_grid` applies, so stacked bases or centers equal those
+    of a chain of moved grids bit for bit.
+    """
+    out = np.empty((substeps + 1, *x.shape))
+    out[0] = x
+    for s in range(substeps):
+        np.matmul(flow, out[s], out=out[s + 1])
+    return out
+
+
 def _stability_ratios(
-    model: ContinuousDynamicsModel, grid: LatticeGrid, dt: float
+    model: ContinuousDynamicsModel, bases: NDArray, dt: float
 ) -> NDArray[np.float64]:
-    return dt * model.diffusion_diagonal / grid.step_lengths**2
+    """``dt * Q_ii / step_i^2`` per stacked basis (row) and axis (column)."""
+    return dt * model.diffusion_diagonal / np.linalg.norm(bases, axis=-2) ** 2
 
 
-def _check_substep(
-    model: ContinuousDynamicsModel, grid: LatticeGrid, dt: float, substep: int
-) -> None:
-    ratios = _stability_ratios(model, grid, dt)
-    worst = int(np.argmax(ratios))
-    if ratios[worst] > _STABILITY_LIMIT + _STABILITY_SLACK:
-        raise StabilityError(worst, substep, float(ratios[worst]))
+def _check_stability(ratios: NDArray) -> None:
+    """Raise for the first row (substep) of ``dt * Q_ii / step_i^2`` ratios
+    whose worst axis exceeds the explicit-scheme limit."""
+    worst = ratios.argmax(axis=1)
+    peak = ratios[np.arange(len(ratios)), worst]
+    over = np.flatnonzero(peak > _STABILITY_LIMIT + _STABILITY_SLACK)
+    if over.size:
+        s = over[0]
+        raise StabilityError(int(worst[s]), int(s), float(peak[s]))
 
 
-def _is_sheared(basis: NDArray) -> bool:
-    off = basis - np.diag(np.diag(basis))
-    return np.abs(off).max() > 1e-9 * np.abs(basis).max()
+def _caller_stacklevel() -> int:
+    """Warning stack level of the first frame outside this module, so a
+    warning points at the user's call whichever public function it
+    passed through."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _schedule(
     model: ContinuousDynamicsModel, grid: LatticeGrid, substeps: int, dt: float
-) -> list[LatticeGrid]:
-    """Substep grids ``g_0 .. g_l`` with the flow applied cumulatively.
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Stacked bases and centers of the substep grids ``g_0 .. g_l`` with
+    the flow applied cumulatively, and the stability ratios
+    ``dt * Q_ii / step_i^2`` of ``g_0 .. g_{l-1}``, shape ``(l, n)``.
 
     Raises :class:`StabilityError` before any weight arithmetic if any
     substep violates the explicit-scheme limit.
@@ -110,20 +135,19 @@ def _schedule(
     if grid.dim != model.dim:
         raise ValueError("model and grid must share the state dimension")
     flow = matrix_exponential(model.A, dt)
-    grids = [grid]
-    for _ in range(substeps):
-        g = grids[-1]
-        grids.append(LatticeGrid(g.counts, flow @ g.basis, flow @ g.center))
-    for s in range(substeps):
-        _check_substep(model, grids[s], dt, s)
-    if any(_is_sheared(g.basis) for g in grids):
+    bases = _flow_powers(flow, grid.basis, substeps)
+    ratios = _stability_ratios(model, bases[:-1], dt)
+    _check_stability(ratios)
+    magnitude = np.abs(bases)
+    off_diagonal = np.where(np.eye(grid.dim, dtype=bool), 0.0, magnitude)
+    if (off_diagonal.max(axis=(1, 2)) > 1e-9 * magnitude.max(axis=(1, 2))).any():
         warnings.warn(
             "lattice axes are not aligned with the state axes; the "
             "per-axis diffusion scheme is approximate in the moved frame",
             LatticeShearWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
-    return grids
+    return bases, _flow_powers(flow, grid.center, substeps), ratios
 
 
 def stable_substep_count(
@@ -138,12 +162,9 @@ def stable_substep_count(
     def stable(substeps: int) -> bool:
         dt = model.sampling_period / substeps
         flow = matrix_exponential(model.A, dt)
-        g = grid
-        for _ in range(substeps):
-            if _stability_ratios(model, g, dt).max() > threshold:
-                return False
-            g = LatticeGrid(g.counts, flow @ g.basis, flow @ g.center)
-        return True
+        bases = _flow_powers(flow, grid.basis, substeps)
+        ratios = _stability_ratios(model, bases[:-1], dt)
+        return not (ratios.max(axis=1) > threshold).any()
 
     hi = 1
     while not stable(hi):
@@ -180,10 +201,11 @@ def diffusion_matrix(
     full index space.  Symmetric; rows away from the boundary sum to
     ``1 - dt * trace(A)``.
     """
-    _check_substep(model, grid, dt, 0)
+    ratios = _stability_ratios(model, grid.basis[None], dt)
+    _check_stability(ratios)
+    coeff = ratios[0]
     n = grid.size
     counts = grid.counts
-    coeff = dt * model.diffusion_diagonal / grid.step_lengths**2
     out = np.zeros((n, n))
     rows = np.arange(n)
     stride = n
@@ -194,6 +216,28 @@ def diffusion_matrix(
         out[r, r + stride] += coeff[axis] / 2.0
         out[r + stride, r] += coeff[axis] / 2.0
     np.fill_diagonal(out, 1.0 - dt * model.trace_drift - coeff.sum())
+    return out
+
+
+def _axis_cosines(counts: tuple[int, ...]) -> list[NDArray[np.float64]]:
+    """Per axis, ``cos(k pi / (N + 1))`` for frequencies ``k = 1 .. N``."""
+    return [np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))) for n in counts]
+
+
+def _eigenvalues_into(
+    out: NDArray, base: float, coeff: NDArray, cosines: list[NDArray]
+) -> NDArray:
+    """Fill ``out`` with ``base - sum(coeff) + sum_i coeff_i cos_i``.
+
+    The axis terms are added one axis at a time, as outer sums whose
+    last one is written into ``out``, so every entry is rounded in the
+    same order whichever caller fills it.
+    """
+    acc = base - coeff.sum()
+    last = len(cosines) - 1
+    for axis, cos in enumerate(cosines):
+        term = coeff[axis] * cos
+        acc = np.add.outer(acc, term, out=out if axis == last else None)
     return out
 
 
@@ -211,15 +255,14 @@ def diffusion_eigenvalues(
     with ``a = 1 - dt trace(A) - sum_i 2 b_i`` and
     ``b_i = dt Q_ii / (2 step_i^2)``.
     """
-    _check_substep(model, grid, dt, 0)
-    coeff = dt * model.diffusion_diagonal / grid.step_lengths**2
-    lam = np.full(grid.counts, 1.0 - dt * model.trace_drift - coeff.sum())
-    for axis, count in enumerate(grid.counts):
-        freq = np.arange(1, count + 1) * (np.pi / (count + 1))
-        shape = [1] * grid.dim
-        shape[axis] = count
-        lam = lam + (coeff[axis] * np.cos(freq)).reshape(shape)
-    return lam
+    ratios = _stability_ratios(model, grid.basis[None], dt)
+    _check_stability(ratios)
+    return _eigenvalues_into(
+        np.empty(grid.counts),
+        1.0 - dt * model.trace_drift,
+        ratios[0],
+        _axis_cosines(grid.counts),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,14 +281,23 @@ class SpectralDiffusionOperator:
 def spectral_operator(
     model: ContinuousDynamicsModel, grid: LatticeGrid
 ) -> SpectralDiffusionOperator:
-    """Build the accumulated eigenvalue tensor over the substep schedule."""
+    """Build the accumulated eigenvalue tensor over the substep schedule.
+
+    Each substep's tensor equals :func:`diffusion_eigenvalues` on that
+    substep's grid; it is filled into one reused buffer and multiplied
+    into ``lambda_pow`` in substep order.
+    """
     substeps = resolve_substeps(model, grid)
     dt = model.sampling_period / substeps
-    grids = _schedule(model, grid, substeps, dt)
+    bases, centers, ratios = _schedule(model, grid, substeps, dt)
+    base = 1.0 - dt * model.trace_drift
+    cosines = _axis_cosines(grid.counts)
+    lam = np.empty(grid.counts)
     lam_pow = np.ones(grid.counts)
-    for s in range(substeps):
-        lam_pow *= diffusion_eigenvalues(model, grids[s], dt)
-    return SpectralDiffusionOperator(lam_pow, substeps, grids[-1])
+    for coeff in ratios:
+        lam_pow *= _eigenvalues_into(lam, base, coeff, cosines)
+    final_grid = LatticeGrid(grid.counts, bases[-1], centers[-1])
+    return SpectralDiffusionOperator(lam_pow, substeps, final_grid)
 
 
 def predict_standard(
@@ -257,11 +309,14 @@ def predict_standard(
     """Dense matrix substepping over one sampling period."""
     substeps = resolve_substeps(model, pmd.grid)
     dt = model.sampling_period / substeps
-    grids = _schedule(model, pmd.grid, substeps, dt)
+    bases, centers, _ = _schedule(model, pmd.grid, substeps, dt)
+    counts = pmd.grid.counts
     weights = pmd.weights
-    for s in range(substeps):
-        weights = diffusion_matrix(model, grids[s], dt) @ weights
-    out = PointMassDensity(grids[-1], np.clip(weights, 0.0, None))
+    for basis, center in zip(bases[:-1], centers[:-1]):
+        grid = LatticeGrid(counts, basis, center)
+        weights = diffusion_matrix(model, grid, dt) @ weights
+    final_grid = LatticeGrid(counts, bases[-1], centers[-1])
+    out = PointMassDensity(final_grid, np.clip(weights, 0.0, None))
     return out.normalized() if normalized else out
 
 

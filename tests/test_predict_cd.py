@@ -190,18 +190,33 @@ def test_spectral_operator_static_grid_is_elementwise_power():
     np.testing.assert_allclose(op.lambda_pow, lam**6, rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::pointmass.LatticeShearWarning")
 def test_spectral_operator_accumulates_moving_substeps():
-    g = LatticeGrid.spanning((9,), (0.5,), (4.0,))
-    model = ContinuousDynamicsModel([[-0.4]], [[0.25]], substeps=5)
-    op = spectral_operator(model, g)
-    dt = 1.0 / 5.0
-    current = g
-    expected = np.ones(9)
-    for _ in range(5):
-        expected = expected * diffusion_eigenvalues(model, current, dt)
-        current = substep_grid(current, model.A, dt)
-    np.testing.assert_allclose(op.lambda_pow, expected, rtol=1e-13)
-    assert op.final_grid == current
+    # the schedule must reproduce the chain of moved grids bit for bit,
+    # for a contracting 1-D flow and a rotating (non-diagonal) 2-D flow
+    cases = [
+        (
+            LatticeGrid.spanning((9,), (0.5,), (4.0,)),
+            ContinuousDynamicsModel([[-0.4]], [[0.25]], substeps=5),
+        ),
+        (
+            LatticeGrid.spanning((9, 7), (0.5, -0.3), (4.0, 3.0)),
+            ContinuousDynamicsModel(
+                np.array([[-0.2, 0.5], [-0.5, -0.1]]), np.diag([0.25, 0.2]),
+                substeps=6,
+            ),
+        ),
+    ]
+    for grid, model in cases:
+        op = spectral_operator(model, grid)
+        dt = model.sampling_period / model.substeps
+        current = grid
+        expected = np.ones(grid.counts)
+        for _ in range(model.substeps):
+            expected = expected * diffusion_eigenvalues(model, current, dt)
+            current = substep_grid(current, model.A, dt)
+        assert np.array_equal(op.lambda_pow, expected)
+        assert op.final_grid == current
 
 
 def test_unit_eigenvalues_round_trip_weights():
@@ -316,9 +331,15 @@ def test_stability_guard_catches_late_substep_contraction():
     g = LatticeGrid.spanning((99,), (0.0,), (6.0,))
     model = ContinuousDynamicsModel([[-0.5]], [[0.4]], substeps=60)
     pmd = gaussian_pmd(g, 1.0)
-    with pytest.raises(StabilityError) as err:
-        predict_standard(pmd, model)
-    assert err.value.substep > 0
+    errors = []
+    for predictor in (predict_standard, predict_efficient):
+        with pytest.raises(StabilityError) as err:
+            predictor(pmd, model)
+        errors.append((err.value.axis, err.value.substep, err.value.ratio))
+    assert errors[0] == errors[1]
+    axis, substep, ratio = errors[0]
+    assert (axis, substep) == (0, 8)
+    assert ratio == pytest.approx(0.50805, rel=1e-4)
 
 
 def test_stable_substep_count_meets_margin():
@@ -354,18 +375,40 @@ def test_shear_warning_for_rotating_flow():
     rotating = ContinuousDynamicsModel(
         np.array([[0.0, 0.4], [-0.4, 0.0]]), np.diag([0.1, 0.1]), substeps=4
     )
-    with pytest.warns(LatticeShearWarning):
-        predict_efficient(pmd, rotating)
-
     aligned = ContinuousDynamicsModel(
         np.diag([-0.1, 0.1]), np.diag([0.1, 0.1]), substeps=4
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LatticeShearWarning)
-        predict_efficient(pmd, aligned)
+    for predictor in (predict_standard, predict_efficient):
+        with pytest.warns(LatticeShearWarning) as record:
+            predictor(pmd, rotating)
+        # attributed to the caller's line, not to a frame inside the library
+        assert [w.filename for w in record] == [__file__]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LatticeShearWarning)
+            predictor(pmd, aligned)
 
 
 # -- runtime ------------------------------------------------------------------------------
+
+
+def test_efficient_builds_no_grid_per_substep(monkeypatch):
+    # the substep schedule and its search run on stacked arrays; grid
+    # objects are built only at the boundary, whatever the substep count
+    g = LatticeGrid.spanning((65, 65), (0.0, 0.0), (6.0, 6.0))
+    pmd = gaussian_pmd(g, np.eye(2))
+    model = ContinuousDynamicsModel(np.diag([-0.5, -0.2]), np.diag([0.4, 0.3]))
+    assert resolve_substeps(model, g) > 50
+    original = LatticeGrid.__post_init__
+    constructed = []
+
+    def counting_post_init(self):
+        constructed.append(self)
+        original(self)
+
+    monkeypatch.setattr(LatticeGrid, "__post_init__", counting_post_init)
+    predict_efficient(pmd, model)
+    assert len(constructed) <= 3
 
 
 def test_efficient_cd_much_faster_than_dense():
