@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, IO, Sequence
 
 import numpy as np
@@ -64,10 +64,24 @@ def reshape_linear(tensor: NDArray) -> NDArray:
     return np.asarray(tensor).reshape(-1)
 
 
+def _frozen(a: NDArray) -> NDArray:
+    """Mark a freshly computed array read-only, in place."""
+    a.flags.writeable = False
+    return a
+
+
 def _as_readonly(a: NDArray) -> NDArray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+    return _frozen(np.array(a, dtype=float))
+
+
+@lru_cache(maxsize=8)
+def _lattice_offsets(counts: tuple[int, ...]) -> NDArray[np.float64]:
+    """Index offsets ``d - d_mid`` of every point, ``(N, n)`` read-only, in
+    linear order.  They depend on the counts alone, which stay fixed over
+    a run, so the last few are kept."""
+    axes = [np.arange(n) - (n - 1) / 2.0 for n in counts]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return _frozen(np.stack([m.reshape(-1) for m in mesh], axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +120,20 @@ class LatticeGrid:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "center", center)
+
+    @classmethod
+    def _trusted(
+        cls, counts: tuple[int, ...], basis: NDArray, center: NDArray
+    ) -> LatticeGrid:
+        """Grid from parts the library has already made valid: a tuple of
+        positive counts and freshly computed finite float arrays of the
+        right shapes with a nonsingular basis.  The arrays are marked
+        read-only in place; nothing is copied or scanned."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "counts", counts)
+        object.__setattr__(grid, "basis", _frozen(basis))
+        object.__setattr__(grid, "center", _frozen(center))
+        return grid
 
     @classmethod
     def axis_aligned(
@@ -164,21 +192,9 @@ class LatticeGrid:
         return all(n % 2 == 1 for n in self.counts)
 
     @cached_property
-    def axis_offsets(self) -> tuple[NDArray[np.float64], ...]:
-        """Per-axis index offsets ``arange(N_i) - mid_i`` (read-only)."""
-        return tuple(
-            _as_readonly(np.arange(n) - m) for n, m in zip(self.counts, self.mid)
-        )
-
-    @cached_property
-    def _offsets(self) -> NDArray[np.float64]:
-        mesh = np.meshgrid(*self.axis_offsets, indexing="ij")
-        return _as_readonly(np.stack([m.reshape(-1) for m in mesh], axis=-1))
-
-    @cached_property
     def points(self) -> NDArray[np.float64]:
         """All grid points as an ``(N, n)`` read-only array in linear order."""
-        return _as_readonly(self.center + self._offsets @ self.basis.T)
+        return _frozen(self.center + _lattice_offsets(self.counts) @ self.basis.T)
 
     def point(self, linear_index: int) -> NDArray[np.float64]:
         """Coordinates of the grid point at ``linear_index``."""
@@ -186,7 +202,7 @@ class LatticeGrid:
             raise IndexError(
                 f"linear index {linear_index} out of range [0, {self.size})"
             )
-        return self.center + self.basis @ self._offsets[linear_index]
+        return self.center + self.basis @ _lattice_offsets(self.counts)[linear_index]
 
     @property
     def center_index(self) -> int:
@@ -267,6 +283,16 @@ class PointMassDensity:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
+    def _trusted(cls, grid: LatticeGrid, weights: NDArray) -> PointMassDensity:
+        """Density from a freshly computed float vector of ``grid.size``
+        weights that the caller has made finite and nonnegative.  It is
+        marked read-only in place; nothing is copied or scanned."""
+        pmd = object.__new__(cls)
+        object.__setattr__(pmd, "grid", grid)
+        object.__setattr__(pmd, "weights", _frozen(weights))
+        return pmd
+
+    @classmethod
     def from_density(
         cls,
         density: Callable[[NDArray], NDArray],
@@ -302,13 +328,22 @@ class PointMassDensity:
         return reshape_physical(self.weights, self.grid.counts)
 
     def normalized(self) -> PointMassDensity:
-        """Rescale so the total mass is one; idempotent."""
+        """Rescale so the total mass is one; idempotent.
+
+        Raises ``ValueError`` when the mass is zero or not finite (weights
+        whose sum overflows), or when the rescaled weights overflow.
+        """
         mass = self.mass
+        if not math.isfinite(mass):
+            raise ValueError(f"cannot normalize a density with total mass {mass}")
         if mass <= 0.0:
             raise ValueError("cannot normalize a density with zero total mass")
         if abs(mass - 1.0) <= MASS_TOL:
             return self
-        return PointMassDensity(self.grid, self.weights / mass)
+        weights = self.weights / mass
+        if not np.isfinite(weights).all():
+            raise ValueError("normalized weights must be finite")
+        return PointMassDensity._trusted(self.grid, weights)
 
     def moments(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """Midpoint-rule mean and covariance of the piecewise-constant PDF."""

@@ -21,17 +21,15 @@ widens grids to keep that regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import LatticeGrid, PointMassDensity, reshape_linear
+from .grid import LatticeGrid, PointMassDensity
 from .models import DiscreteDynamicsModel, GaussianDensity
 from .transforms import convolve_fft_nd
 
 __all__ = [
-    "TransitionKernel",
     "transformed_grid",
     "transition_matrix",
     "middle_row_kernel",
@@ -43,38 +41,24 @@ __all__ = [
 _BLOCK_BYTES = 256e6
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionKernel:
-    """Middle transition-matrix row reshaped to the physical index space.
-
-    The tensor entry at multi-index ``d`` is the transition density from
-    source point ``d`` to the center of the predictive grid, times the
-    source cell volume.  With odd counts this encodes every
-    offset-dependent transition value the matrix form uses.
-    """
-
-    tensor: NDArray[np.float64]
-    cell_volume: float
-
-    def __post_init__(self) -> None:
-        tensor = np.asarray(self.tensor, dtype=float)
-        if any(n % 2 == 0 for n in tensor.shape):
-            raise ValueError(f"kernel counts must be odd, got {tensor.shape}")
-        if (tensor < 0).any():
-            raise ValueError("kernel entries must be nonnegative")
-        object.__setattr__(self, "tensor", tensor)
-
-
 def transformed_grid(grid: LatticeGrid, transition: NDArray) -> LatticeGrid:
     """Predictive grid: every point mapped through the transition matrix.
 
     Center and basis are premultiplied by ``F``; counts are unchanged, so
-    the cell volume scales by ``|det F|``.
+    the cell volume scales by ``|det F|``.  With ``F`` and the valid
+    input grid nonsingular, only overflow or underflow of the products
+    can make the result invalid, so only that is checked.
     """
     f = np.asarray(transition, dtype=float)
     if abs(np.linalg.det(f)) == 0.0:
         raise ValueError("transition matrix must be nonsingular")
-    return LatticeGrid(grid.counts, f @ grid.basis, f @ grid.center)
+    basis, center = f @ grid.basis, f @ grid.center
+    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
+        raise ValueError("basis and center must be finite")
+    new_grid = LatticeGrid._trusted(grid.counts, basis, center)
+    if new_grid.cell_volume == 0.0:
+        raise ValueError("basis matrix is singular")
+    return new_grid
 
 
 def _target_rows(
@@ -102,37 +86,43 @@ def transition_matrix(
     return _target_rows(model, grid_from, grid_to.points)
 
 
-def _middle_row_kernel(
-    model: DiscreteDynamicsModel, grid: LatticeGrid, new_grid: LatticeGrid
-) -> TransitionKernel:
+def middle_row_kernel(
+    model: DiscreteDynamicsModel, grid: LatticeGrid
+) -> NDArray[np.float64]:
+    """Middle row of the implied transition matrix as a physical tensor.
+
+    The entry at multi-index ``d`` is the transition density from source
+    point ``d`` to the center of the predictive grid, times the source
+    cell volume.  With odd counts this encodes every offset-dependent
+    transition value the matrix form uses.  Computed exactly as
+    :func:`transition_matrix` computes that row, so the two agree bit for
+    bit.
+    """
     if not grid.all_counts_odd:
         raise ValueError(
             f"the convolution kernel requires odd counts, got {grid.counts}"
         )
-    # The predictive center point is its grid center plus a zero offset;
-    # adding 0.0 reproduces the same floats new_grid.points stores there.
-    target = new_grid.center + 0.0
-    row = _target_rows(model, grid, target)
-    return TransitionKernel(row.reshape(grid.counts), grid.cell_volume)
-
-
-def middle_row_kernel(
-    model: DiscreteDynamicsModel, grid: LatticeGrid
-) -> TransitionKernel:
-    """Transition kernel from the middle row of the implied matrix.
-
-    Computed exactly as :func:`transition_matrix` computes the row for
-    the predictive center point, then reshaped to the physical tensor,
-    so the two agree bit for bit.
-    """
-    return _middle_row_kernel(model, grid, transformed_grid(grid, model.F))
+    # The predictive center point is the predictive grid's center F c
+    # plus a zero offset; adding 0.0 reproduces the same floats that grid
+    # stores there.
+    target = model.F @ grid.center + 0.0
+    return _target_rows(model, grid, target).reshape(grid.counts)
 
 
 def _finish(
     grid: LatticeGrid, weights: NDArray, normalized: bool
 ) -> PointMassDensity:
-    pmd = PointMassDensity(grid, weights)
+    # Weights built from nonnegative factors are nonnegative, but overflow
+    # or a NaN can still make them non-finite.
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    pmd = PointMassDensity._trusted(grid, weights)
     return pmd.normalized() if normalized else pmd
+
+
+def _check_dim(pmd: PointMassDensity, model: DiscreteDynamicsModel) -> None:
+    if pmd.grid.dim != model.dim:
+        raise ValueError("model and density must share the state dimension")
 
 
 def predict_standard(
@@ -148,9 +138,8 @@ def predict_standard(
     takes a whitened inner-product path; any other density is evaluated
     blockwise through its callable.
     """
+    _check_dim(pmd, model)
     grid = pmd.grid
-    if grid.dim != model.dim:
-        raise ValueError("model and density must share the state dimension")
     new_grid = transformed_grid(grid, model.F)
     targets = new_grid.points
     weights = pmd.weights
@@ -194,13 +183,16 @@ def predict_efficient(
     """Middle-row FFT-convolution prediction onto the transformed grid.
 
     Requires odd counts on every axis.  Tiny negative values from FFT
-    rounding are clipped to zero before normalization.
+    rounding are clipped to zero before normalization.  Equal, bit for
+    bit, to clipping ``convolve_fft_nd(middle_row_kernel(model, grid),
+    pmd.physical)`` on :func:`transformed_grid`.
     """
-    new_grid = transformed_grid(pmd.grid, model.F)
-    kernel = _middle_row_kernel(model, pmd.grid, new_grid)
-    conv = convolve_fft_nd(kernel.tensor, pmd.physical)
-    weights = np.clip(reshape_linear(conv), 0.0, None)
-    return _finish(new_grid, weights, normalized)
+    _check_dim(pmd, model)
+    grid = pmd.grid
+    kernel = middle_row_kernel(model, grid)
+    new_grid = transformed_grid(grid, model.F)
+    conv = convolve_fft_nd(kernel, pmd.weights.reshape(grid.counts))
+    return _finish(new_grid, np.clip(conv.reshape(-1), 0.0, None), normalized)
 
 
 def predict_inflated(

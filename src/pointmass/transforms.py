@@ -15,6 +15,8 @@ the predictor tests.
 from __future__ import annotations
 
 import os
+import threading
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -37,6 +39,7 @@ def fft_workers() -> int:
         return 1
 
 
+@lru_cache(maxsize=64)
 def _padded_length(count: int) -> int:
     """Fast transform length >= 2 * count - 1 for the linear convolution.
 
@@ -90,13 +93,40 @@ def convolve_direct_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     return out
 
 
+_workspace = threading.local()
+
+
+def _buffers(counts: tuple[int, ...], shape: tuple[int, ...]) -> tuple[NDArray, ...]:
+    """Input pair, its spectra and the inverse output for one kernel
+    shape, kept per thread and reused while the shape repeats.
+
+    A run convolves one shape every step; fresh buffers of that size
+    cost a page fault per 4 KiB on every call once the allocator has
+    handed them back to the system.  The inputs are zero padded on every
+    axis but the last, and only their embedded window is ever written,
+    so the padding stays zero.  The last shape's buffers stay allocated,
+    about four padded-size float arrays.
+    """
+    cached = getattr(_workspace, "buffers", None)
+    if cached is None or cached[0] != counts:
+        cached = (
+            counts,
+            np.zeros((2, *shape[:-1], counts[-1])),
+            np.empty((2, *shape[:-1], shape[-1] // 2 + 1), dtype=complex),
+            np.empty(shape),
+        )
+        _workspace.buffers = cached
+    return cached[1:]
+
+
 def convolve_fft_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     """FFT realization of :func:`convolve_direct_nd`.
 
     Both inputs are zero padded per axis to a fast even length at or
     above ``2 * N_i - 1`` (full linear convolution), transformed in one
-    batched real FFT, multiplied, inverted, and cropped to the centered
-    window.
+    real FFT call, multiplied, inverted, and cropped to the centered
+    window.  The buffers and spectra are reused across calls of one
+    shape; the result is a fresh array.
     """
     kernel, signal = _check_pair(kernel, signal)
     counts = kernel.shape
@@ -104,12 +134,17 @@ def convolve_fft_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     mid = tuple((n - 1) // 2 for n in counts)
     shape = tuple(_padded_length(n) for n in counts)
 
-    buf = np.zeros((2, *shape))
+    buf, spectra, full = _buffers(counts, shape)
     embed = tuple(slice(0, n) for n in counts)
     buf[(0, *embed)] = kernel[tuple(slice(None, None, -1) for _ in counts)]
     buf[(1, *embed)] = signal
-    spectra = np.fft.rfftn(buf, s=shape, axes=tuple(range(1, ndim + 1)))
-    full = np.fft.irfftn(spectra[0] * spectra[1], s=shape, axes=tuple(range(ndim)))
+    # The transform pads the last axis itself, one row at a time; on a
+    # pre-padded pair numpy transforms both rows together through
+    # scratch of several padded sizes per call (about 4 MB at N = 65537).
+    np.fft.rfftn(buf, s=shape, axes=tuple(range(1, ndim + 1)), out=spectra)
+    product = spectra[0]
+    product *= spectra[1]
+    np.fft.irfftn(product, s=shape, axes=tuple(range(ndim)), out=full)
     return full[tuple(slice(m, m + n) for m, n in zip(mid, counts))].copy()
 
 

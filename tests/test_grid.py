@@ -157,6 +157,24 @@ def test_normalize_rejects_zero_mass():
         PointMassDensity(g, np.zeros(3)).normalized()
 
 
+def test_normalize_rejects_non_finite_mass_and_weights():
+    # an overflowing weight sum must fail loudly, not normalize to zeros
+    g = LatticeGrid((5,), [[1.0]], [0.0])
+    overflowing = PointMassDensity(g, np.full(5, 1e308))
+    with np.errstate(over="ignore"):
+        assert overflowing.mass == math.inf
+        with pytest.raises(ValueError, match="total mass inf"):
+            overflowing.normalized()
+    # densities the library builds itself skip validation; NaN must not
+    # pass through normalization either
+    with pytest.raises(ValueError, match="total mass nan"):
+        PointMassDensity._trusted(g, np.full(5, np.nan)).normalized()
+    # a finite mass on subnormal cells still overflows the rescaled weights
+    tiny = LatticeGrid((3,), [[1e-310]], [0.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        PointMassDensity(tiny, np.ones(3)).normalized()
+
+
 @given(
     st.lists(st.floats(1e-6, 1e3), min_size=2, max_size=30),
     st.floats(0.1, 10.0),

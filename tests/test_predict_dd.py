@@ -16,6 +16,7 @@ from pointmass.predict_dd import (
     transformed_grid,
     transition_matrix,
 )
+from pointmass.transforms import convolve_fft_nd
 
 
 def rel_max(a, b):
@@ -139,16 +140,14 @@ def test_middle_row_kernel_bit_equal_to_tpm_row(counts, f, cov):
     )
     model = DiscreteDynamicsModel.gaussian(f, cov)
     t = transition_matrix(model, g, transformed_grid(g, model.F))
-    kern = middle_row_kernel(model, g)
     row = t[(g.size - 1) // 2].reshape(counts)
-    np.testing.assert_array_equal(kern.tensor, row)
-    assert kern.cell_volume == g.cell_volume
+    np.testing.assert_array_equal(middle_row_kernel(model, g), row)
 
 
 def test_middle_row_kernel_centrally_symmetric_for_even_noise():
     g = LatticeGrid.spanning((7, 5), (0.3, -0.2), (3.0, 2.0))
     model = DiscreteDynamicsModel.gaussian(np.eye(2), np.diag([0.5, 0.8]))
-    k = middle_row_kernel(model, g).tensor
+    k = middle_row_kernel(model, g)
     np.testing.assert_allclose(k, k[::-1, ::-1], rtol=1e-12)
 
 
@@ -157,7 +156,7 @@ def test_middle_row_kernel_center_entry():
     model = DiscreteDynamicsModel.gaussian(np.eye(2) * 1.3, np.eye(2) * 0.4)
     k = middle_row_kernel(model, g)
     expected = model.noise(np.zeros(2)) * g.cell_volume
-    assert k.tensor[1, 1] == pytest.approx(expected, rel=1e-14)
+    assert k[1, 1] == pytest.approx(expected, rel=1e-14)
 
 
 def test_middle_row_kernel_rejects_even_counts():
@@ -289,6 +288,69 @@ def test_efficient_predict_rejects_even_counts():
         predict_efficient(pmd, model)
 
 
+def test_efficient_pinned_to_public_building_blocks():
+    g = LatticeGrid((15, 11), [[0.4, 0.1], [-0.05, 0.5]], [0.3, -0.2])
+    pmd = gaussian_pmd(g, np.diag([1.0, 0.8]), mean=[0.3, -0.2])
+    model = DiscreteDynamicsModel.gaussian(
+        [[1.0, 0.3], [-0.2, 0.8]], [[0.3, 0.05], [0.05, 0.2]]
+    )
+    raw = predict_efficient(pmd, model, normalized=False)
+    expected = np.clip(
+        convolve_fft_nd(middle_row_kernel(model, g), pmd.physical), 0.0, None
+    )
+    np.testing.assert_array_equal(raw.weights, expected.reshape(-1))
+    assert raw.grid == transformed_grid(g, model.F)
+
+
+def test_efficient_step_validates_only_its_inputs(monkeypatch):
+    # inputs are checked once at the boundary; the grid and densities the
+    # step builds itself are not validated again
+    g = LatticeGrid.spanning((257,), (0.0,), (6.0,))
+    pmd = PointMassDensity(g, np.exp(-0.5 * g.points[:, 0] ** 2))
+    model = DiscreteDynamicsModel.gaussian([[0.9]], 0.25)
+    calls = {LatticeGrid: 0, PointMassDensity: 0}
+    for cls in calls:
+        original = cls.__post_init__
+
+        def counting(self, cls=cls, original=original):
+            calls[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    out = predict_efficient(pmd, model, normalized=True)
+    assert calls == {LatticeGrid: 0, PointMassDensity: 0}
+    assert out.mass == pytest.approx(1.0, abs=1e-12)
+    for array in (out.weights, out.grid.basis, out.grid.center):
+        assert not array.flags.writeable
+
+    even = PointMassDensity(LatticeGrid.axis_aligned((4,), (1.0,), (0.0,)), np.ones(4))
+    with pytest.raises(ValueError, match="odd"):
+        predict_efficient(even, model)
+    with pytest.raises(ValueError, match="dimension"):
+        predict_efficient(pmd, DiscreteDynamicsModel.gaussian(np.eye(2), np.eye(2)))
+
+
+@pytest.mark.parametrize("predict", [predict_efficient, predict_standard])
+def test_predictors_fail_loudly_on_overflow_and_underflow(predict):
+    # the step builds its grid and density without validating them again,
+    # so what floating point can break there is checked in the step
+    model = DiscreteDynamicsModel.gaussian([[0.9]], 0.25)
+    g = LatticeGrid.spanning((9,), (0.0,), (2.0,))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="finite"
+    ):
+        predict(PointMassDensity(g, np.full(9, 1e308)), model, normalized=False)
+    for scale, match in ((1e200, "finite"), (1e-200, "singular")):
+        with np.errstate(over="ignore", under="ignore"), pytest.raises(
+            ValueError, match=match
+        ):
+            predict(
+                PointMassDensity(LatticeGrid((9,), [[scale]], [0.0]), np.ones(9)),
+                DiscreteDynamicsModel.gaussian([[scale]], 0.25),
+                normalized=False,
+            )
+
+
 # -- noise-driven inflation ---------------------------------------------------------------
 
 
@@ -360,17 +422,20 @@ def test_efficient_runtime_is_overhead_plus_log_linear():
 
     model = DiscreteDynamicsModel.gaussian([[0.9]], 0.16)
     sizes = [1025, 4097, 16385, 65537]
-    floors = []
-    for n in sizes:
-        g = LatticeGrid.spanning((n,), (0.0,), (6.0,))
-        pmd = gaussian_pmd(g, 1.0)
-        predict_efficient(pmd, model)
-        best = np.inf
-        for _ in range(15):
+    densities = [
+        gaussian_pmd(LatticeGrid.spanning((n,), (0.0,), (6.0,)), 1.0) for n in sizes
+    ]
+    # Sizes take turns within each repeat, so a swing in host speed
+    # reaches every size alike instead of bending the fit.  An untimed
+    # call before each timed one refills the caches with that size's
+    # data, which the previous size evicted.
+    floors = [np.inf] * len(sizes)
+    for _ in range(15):
+        for i, pmd in enumerate(densities):
+            predict_efficient(pmd, model)
             t0 = time.perf_counter()
             predict_efficient(pmd, model)
-            best = min(best, time.perf_counter() - t0)
-        floors.append(best)
+            floors[i] = min(floors[i], time.perf_counter() - t0)
 
     t = np.asarray(floors)
 

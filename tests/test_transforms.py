@@ -82,6 +82,49 @@ def test_fft_matches_direct(counts):
     assert rel_max(fft, direct) < 1e-10
 
 
+def test_fft_reused_buffers_keep_results_independent():
+    # counts 15 and 13 pad to the same length; a narrower call after a
+    # wider one must still see zero padding, and a result must survive
+    # the next call of its shape
+    rng = np.random.default_rng(3)
+    pairs = [(rng.random(c), rng.random(c)) for c in [(15,), (15,), (13,), (13, 15)]]
+    results = [convolve_fft_nd(k, s) for k, s in pairs]
+    for (k, s), out in zip(pairs, results):
+        assert rel_max(out, convolve_direct_nd(k, s)) < 1e-12
+    np.testing.assert_array_equal(results[0], convolve_fft_nd(*pairs[0]))
+
+
+def test_fft_reused_buffers_are_per_thread():
+    # the transforms release the interpreter lock, so threads convolving
+    # the same shape at once must not share buffers
+    import sys
+    import threading
+
+    rng = np.random.default_rng(4)
+    pairs = [(rng.random(4097), rng.random(4097)) for _ in range(6)]
+    expected = [convolve_fft_nd(k, s) for k, s in pairs]
+    mismatches = []
+
+    def work(offset):
+        for r in range(20):
+            i = (offset + r) % len(pairs)
+            if not np.array_equal(convolve_fft_nd(*pairs[i]), expected[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
 def test_fft_matches_oracle_constant_inputs():
     k = np.full((3, 3), 0.25)
     s = np.full((3, 3), 2.0)
