@@ -50,6 +50,8 @@ __all__ = [
 _STABILITY_LIMIT = 0.5
 _STABILITY_SLACK = 1e-12
 _MAX_SUBSTEPS = 10_000_000
+_UNIT_ROUNDOFF = 2.0**-53
+_ACCUMULATION_CHUNK = 1 << 18  # stacked eigenvalue factors per batch
 
 
 class StabilityError(ValueError):
@@ -94,6 +96,28 @@ def _flow_powers(flow: NDArray, x: NDArray, substeps: int) -> NDArray:
     return out
 
 
+def _doubled_flow_powers(flow: NDArray, basis: NDArray, count: int) -> NDArray:
+    """``flow^s @ basis`` for ``s = 0 .. count - 1`` by doubling.
+
+    The products sit side by side, ``out[:, s]`` of an ``(n, count, n)``
+    array, so each doubling ``flow^k @ [s < k]`` is one matrix product:
+    ``O(log count)`` products instead of :func:`_flow_powers`' ``count``.
+    The values differ from the sequential chain by rounding only.
+    """
+    n = basis.shape[0]
+    out = np.empty((n, count, n))
+    out[:, 0] = basis
+    power, filled = flow, 1
+    while filled < count:
+        take = min(filled, count - filled)
+        done = out[:, :take].reshape(n, take * n)
+        out[:, filled : filled + take] = (power @ done).reshape(n, take, n)
+        filled += take
+        if filled < count:
+            power = power @ power
+    return out
+
+
 def _stability_ratios(
     model: ContinuousDynamicsModel, bases: NDArray, dt: float
 ) -> NDArray[np.float64]:
@@ -110,6 +134,11 @@ def _check_stability(ratios: NDArray) -> None:
     if over.size:
         s = over[0]
         raise StabilityError(int(worst[s]), int(s), float(peak[s]))
+
+
+def _check_dim(model: ContinuousDynamicsModel, grid: LatticeGrid, what: str) -> None:
+    if grid.dim != model.dim:
+        raise ValueError(f"model and {what} must share the state dimension")
 
 
 def _caller_stacklevel() -> int:
@@ -132,8 +161,6 @@ def _schedule(
     Raises :class:`StabilityError` before any weight arithmetic if any
     substep violates the explicit-scheme limit.
     """
-    if grid.dim != model.dim:
-        raise ValueError("model and grid must share the state dimension")
     flow = matrix_exponential(model.A, dt)
     bases = _flow_powers(flow, grid.basis, substeps)
     ratios = _stability_ratios(model, bases[:-1], dt)
@@ -150,18 +177,87 @@ def _schedule(
     return bases, _flow_powers(flow, grid.center, substeps), ratios
 
 
+def _stable_by_bound(
+    flow: NDArray, basis: NDArray, substeps: int, scaled_q: NDArray, threshold: float
+) -> bool | None:
+    """Decide whether the ratios ``scaled_q / step_i^2`` of substeps
+    ``1 .. substeps - 1`` of the exact chain stay within ``threshold``,
+    without running the chain; ``None`` if the bound cannot decide.
+
+    The chain and :func:`_doubled_flow_powers` both evaluate a product
+    tree of ``s`` copies of ``flow`` and ``basis`` with at most ``s + 1``
+    products, so each lies within ``(1 + gamma_n)^(s+1) - 1`` times
+    ``|flow|^s |basis|`` of the exact product, componentwise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.5).
+    Twice that, in the column norm, bounds the gap between the two step
+    lengths; with the rounding of norm, square and quotient it bounds the
+    gap between their ratios.  A ratio within that gap of the threshold,
+    or a step length outside the range where the bound holds, leaves the
+    decision to the chain.
+    """
+    n = basis.shape[0]
+    abs_flow = np.abs(flow)
+    # rho >= || |flow| ||_2, so || |flow|^s |b| ||_2 <= rho^s ||b||_2
+    rho = math.sqrt(abs_flow.sum(axis=0).max() * abs_flow.sum(axis=1).max())
+    log_rho = math.log(max(1.0, rho))
+    if substeps * log_rho > 500.0:
+        return None
+    wide = _doubled_flow_powers(flow, basis, substeps)[:, 1:]
+    squares = np.einsum("rsi,rsi->si", wide, wide)
+    s = np.arange(1, substeps)[:, None]
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    eps = np.expm1((s + 1) * math.log1p(gamma))  # (1 + gamma)^(s+1) - 1
+    # subnormal products add up to n * 2**-1074 per entry and product,
+    # which the relative bound misses
+    floor = (
+        2.0 * substeps * n**3 * np.finfo(float).smallest_subnormal
+        * max(1.0, float(np.abs(basis).max()))
+    )
+    gap = np.exp(s * log_rho) * (2.0 * eps * np.linalg.norm(basis, axis=0) + floor)
+    norms = np.sqrt(squares)
+    rel = gap / norms
+    # squares of both step lengths stay normal floats, and the first-order
+    # tolerance below holds
+    if not ((2.0**-490 <= norms) & (norms <= 2.0**490) & (rel <= 1e-3)).all():
+        return None
+    ratios = scaled_q / squares
+    tol = ratios * (3.0 * rel + 8 * (n + 2) * _UNIT_ROUNDOFF)
+    if (ratios - tol > threshold).any():
+        return False
+    if (ratios + tol > threshold).any():
+        return None
+    return True
+
+
 def stable_substep_count(
     model: ContinuousDynamicsModel, grid: LatticeGrid, margin: float = 0.8
 ) -> int:
     """Smallest substep count keeping every substep within ``margin`` of
-    the stability limit over one sampling period."""
+    the stability limit over one sampling period.
+
+    Doubling, then bisection, over probes that each decide whether the
+    exact substep chain of :func:`_schedule` stays within the margin.
+    Substep 0 runs on the grid's own basis, so its ratios are the
+    chain's; the rest are decided by :func:`_stable_by_bound`, and by the
+    chain itself only when that bound cannot decide.
+    """
     if not 0 < margin <= 1:
         raise ValueError("margin must be in (0, 1]")
+    _check_dim(model, grid, "grid")
     threshold = margin * _STABILITY_LIMIT
 
     def stable(substeps: int) -> bool:
         dt = model.sampling_period / substeps
+        if _stability_ratios(model, grid.basis[None], dt).max() > threshold:
+            return False
+        if substeps == 1:
+            return True
         flow = matrix_exponential(model.A, dt)
+        verdict = _stable_by_bound(
+            flow, grid.basis, substeps, dt * model.diffusion_diagonal, threshold
+        )
+        if verdict is not None:
+            return verdict
         bases = _flow_powers(flow, grid.basis, substeps)
         ratios = _stability_ratios(model, bases[:-1], dt)
         return not (ratios.max(axis=1) > threshold).any()
@@ -224,20 +320,39 @@ def _axis_cosines(counts: tuple[int, ...]) -> list[NDArray[np.float64]]:
     return [np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))) for n in counts]
 
 
-def _eigenvalues_into(
-    out: NDArray, base: float, coeff: NDArray, cosines: list[NDArray]
-) -> NDArray:
-    """Fill ``out`` with ``base - sum(coeff) + sum_i coeff_i cos_i``.
+def _eigenvalue_product(
+    base: float, coeffs: NDArray, cosines: list[NDArray]
+) -> NDArray[np.float64]:
+    """Elementwise product, in row order, of the eigenvalue tensors
+    ``base - sum(c) + sum_i c_i cos_i`` of the rows ``c`` of ``coeffs``.
 
-    The axis terms are added one axis at a time, as outer sums whose
-    last one is written into ``out``, so every entry is rounded in the
-    same order whichever caller fills it.
+    Every entry of a tensor is rounded in one order: the constant, then
+    the axis terms one axis at a time.  The constants and the sums over
+    all axes but the last are built for a batch of rows at once.  The
+    last axis is added by one matrix product per row,
+    ``[prefix, 1] @ [1, term]``: both of its products are exact, so each
+    entry is the single rounded sum ``prefix + term`` that an outer sum
+    gives, at about a third of the cost of numpy's broadcast outer sum.
     """
-    acc = base - coeff.sum()
-    last = len(cosines) - 1
-    for axis, cos in enumerate(cosines):
-        term = coeff[axis] * cos
-        acc = np.add.outer(acc, term, out=out if axis == last else None)
+    counts = tuple(len(cos) for cos in cosines)
+    lead = math.prod(counts[:-1])
+    out = np.ones(counts)
+    flat_out = out.reshape(lead, counts[-1])
+    lam = np.zeros((lead, counts[-1]))
+    chunk = max(1, _ACCUMULATION_CHUNK // (lead + counts[-1]))
+    for first in range(0, len(coeffs), chunk):
+        c = coeffs[first : first + chunk]
+        prefix = base - c.sum(axis=1)
+        for axis, cos in enumerate(cosines[:-1]):
+            term = (c[:, axis, None] * cos).reshape(len(c), *(1,) * axis, -1)
+            prefix = prefix[..., None] + term
+        left = np.ones((len(c), 2, lead))
+        left[:, 0] = prefix.reshape(len(c), lead)
+        right = np.ones((len(c), 2, counts[-1]))
+        np.multiply(c[:, -1, None], cosines[-1], out=right[:, 1])
+        for row_left, row_right in zip(left, right):
+            np.matmul(row_left.T, row_right, out=lam)
+            flat_out *= lam
     return out
 
 
@@ -257,11 +372,8 @@ def diffusion_eigenvalues(
     """
     ratios = _stability_ratios(model, grid.basis[None], dt)
     _check_stability(ratios)
-    return _eigenvalues_into(
-        np.empty(grid.counts),
-        1.0 - dt * model.trace_drift,
-        ratios[0],
-        _axis_cosines(grid.counts),
+    return _eigenvalue_product(
+        1.0 - dt * model.trace_drift, ratios, _axis_cosines(grid.counts)
     )
 
 
@@ -284,20 +396,41 @@ def spectral_operator(
     """Build the accumulated eigenvalue tensor over the substep schedule.
 
     Each substep's tensor equals :func:`diffusion_eigenvalues` on that
-    substep's grid; it is filled into one reused buffer and multiplied
-    into ``lambda_pow`` in substep order.
+    substep's grid; the tensors are multiplied into ``lambda_pow`` in
+    substep order.
     """
+    _check_dim(model, grid, "grid")
     substeps = resolve_substeps(model, grid)
     dt = model.sampling_period / substeps
     bases, centers, ratios = _schedule(model, grid, substeps, dt)
-    base = 1.0 - dt * model.trace_drift
-    cosines = _axis_cosines(grid.counts)
-    lam = np.empty(grid.counts)
-    lam_pow = np.ones(grid.counts)
-    for coeff in ratios:
-        lam_pow *= _eigenvalues_into(lam, base, coeff, cosines)
-    final_grid = LatticeGrid(grid.counts, bases[-1], centers[-1])
+    lam_pow = _eigenvalue_product(
+        1.0 - dt * model.trace_drift, ratios, _axis_cosines(grid.counts)
+    )
+    final_grid = _moved_grid(grid.counts, bases[-1], centers[-1])
     return SpectralDiffusionOperator(lam_pow, substeps, final_grid)
+
+
+def _moved_grid(counts: tuple[int, ...], basis: NDArray, center: NDArray) -> LatticeGrid:
+    """Grid after the flow, built without a second validation.  The flow
+    keeps the basis nonsingular, so only overflow or underflow of the
+    products can make it invalid, and only that is checked."""
+    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
+        raise ValueError("basis and center must be finite")
+    grid = LatticeGrid._trusted(counts, basis.copy(), center.copy())
+    if grid.cell_volume == 0.0:
+        raise ValueError("basis matrix is singular")
+    return grid
+
+
+def _finish(
+    grid: LatticeGrid, weights: NDArray, normalized: bool
+) -> PointMassDensity:
+    # clipped weights are nonnegative, but overflow or a NaN can still
+    # make them non-finite
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    pmd = PointMassDensity._trusted(grid, weights)
+    return pmd.normalized() if normalized else pmd
 
 
 def predict_standard(
@@ -307,6 +440,7 @@ def predict_standard(
     normalized: bool = True,
 ) -> PointMassDensity:
     """Dense matrix substepping over one sampling period."""
+    _check_dim(model, pmd.grid, "density")
     substeps = resolve_substeps(model, pmd.grid)
     dt = model.sampling_period / substeps
     bases, centers, _ = _schedule(model, pmd.grid, substeps, dt)
@@ -315,9 +449,8 @@ def predict_standard(
     for basis, center in zip(bases[:-1], centers[:-1]):
         grid = LatticeGrid(counts, basis, center)
         weights = diffusion_matrix(model, grid, dt) @ weights
-    final_grid = LatticeGrid(counts, bases[-1], centers[-1])
-    out = PointMassDensity(final_grid, np.clip(weights, 0.0, None))
-    return out.normalized() if normalized else out
+    final_grid = _moved_grid(counts, bases[-1], centers[-1])
+    return _finish(final_grid, np.clip(weights, 0.0, None), normalized)
 
 
 def predict_efficient(
@@ -336,10 +469,10 @@ def predict_efficient(
         raise ValueError(
             f"the spectral predictor requires odd counts, got {pmd.grid.counts}"
         )
+    _check_dim(model, pmd.grid, "density")
     op = spectral_operator(model, pmd.grid)
     spectrum = op.lambda_pow * dst1_nd(pmd.physical)
     back = dst1_nd(spectrum)
     scale = math.prod(2.0 / (n + 1) for n in pmd.grid.counts)
     weights = np.clip(reshape_linear(back) * scale, 0.0, None)
-    out = PointMassDensity(op.final_grid, weights)
-    return out.normalized() if normalized else out
+    return _finish(op.final_grid, weights, normalized)

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from pointmass import (
     PointMassDensity,
     StabilityError,
 )
+from pointmass import predict_cd
+from pointmass.models import matrix_exponential
 from pointmass.predict_cd import (
     diffusion_eigenvalues,
     diffusion_matrix,
@@ -36,6 +39,98 @@ def gaussian_pmd(grid, cov, mean=None):
 def sine_matrix(n):
     i = np.arange(1, n + 1)
     return np.sin(np.outer(i, i) * np.pi / (n + 1))
+
+
+# Reference: the substep chain, search and eigenvalue accumulation as one
+# sequential product per substep, which the library must match bit for bit.
+
+
+def chain_ratios(model, grid, substeps):
+    """Stability ratios of substeps 0 .. l-1, their bases ``flow^s @ basis``
+    built by sequential products."""
+    dt = model.sampling_period / substeps
+    flow = matrix_exponential(model.A, dt)
+    bases = np.empty((substeps + 1, grid.dim, grid.dim))
+    bases[0] = grid.basis
+    for s in range(substeps):
+        np.matmul(flow, bases[s], out=bases[s + 1])
+    return dt * model.diffusion_diagonal / np.linalg.norm(bases[:-1], axis=-2) ** 2
+
+
+def chain_search(model, grid, margin):
+    def stable(substeps):
+        ratios = chain_ratios(model, grid, substeps)
+        return not (ratios.max(axis=1) > margin * 0.5).any()
+
+    hi = 1
+    while not stable(hi):
+        hi *= 2
+    lo = hi // 2 + 1 if hi > 1 else 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if stable(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def chain_lambda_pow(model, grid, substeps):
+    """Per substep: the constant, then one outer sum per axis, multiplied
+    into the product in substep order."""
+    dt = model.sampling_period / substeps
+    ratios = chain_ratios(model, grid, substeps)
+    base = 1.0 - dt * model.trace_drift
+    cosines = [np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))) for n in grid.counts]
+    lam_pow = np.ones(grid.counts)
+    for coeff in ratios:
+        acc = base - coeff.sum()
+        for axis, cos in enumerate(cosines):
+            acc = np.add.outer(acc, coeff[axis] * cos)
+        lam_pow *= acc
+    return lam_pow
+
+
+@contextmanager
+def recorded_chains(monkeypatch):
+    """Substep counts of the sequential product chains the library runs."""
+    original = predict_cd._flow_powers
+    counts = []
+
+    def recording(flow, x, substeps):
+        counts.append(substeps)
+        return original(flow, x, substeps)
+
+    monkeypatch.setattr(predict_cd, "_flow_powers", recording)
+    yield counts
+    monkeypatch.setattr(predict_cd, "_flow_powers", original)
+
+
+def search_battery():
+    """Seeded models and grids with substep counts of about 5 to 350."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for k in range(12):
+        n = 1 + k % 3
+        drift = rng.standard_normal((n, n)) * rng.uniform(0.1, 0.8)
+        kind = k % 4
+        if kind == 0:  # Ornstein-Uhlenbeck
+            drift = -np.diag(np.abs(np.diag(drift)))
+        elif kind == 1:  # rotating
+            drift = drift - drift.T - 0.1 * np.eye(n)
+        elif kind == 2:  # nonnormal
+            drift = np.triu(drift)
+        steps = rng.uniform(0.08, 0.5, n)
+        basis = np.diag(steps)
+        if kind == 3 and n > 1:  # sheared grid
+            basis[0, 1:] = 0.3 * steps[0]
+        grid = LatticeGrid((7,) * n, basis, rng.uniform(-1.0, 1.0, n))
+        model = ContinuousDynamicsModel(
+            drift, np.diag(rng.uniform(0.1, 1.0, n)),
+            sampling_period=float(rng.uniform(0.5, 1.5)),
+        )
+        cases.append((model, grid))
+    return cases
 
 
 # -- substep grid movement -----------------------------------------------------------
@@ -369,6 +464,60 @@ def test_stable_substep_count_meets_margin():
         assert worst > 0.8 * 0.5
 
 
+@pytest.mark.parametrize("margin", [0.5, 0.8, 1.0])
+def test_stable_substep_count_equals_sequential_chain_search(margin, monkeypatch):
+    # 1-D to 3-D; Ornstein-Uhlenbeck, rotating and nonnormal drifts and a
+    # sheared grid: the count equals the search over sequential chains,
+    # none of which the library needs to run
+    for model, grid in search_battery():
+        expected = chain_search(model, grid, margin)
+        with recorded_chains(monkeypatch) as chains:
+            assert stable_substep_count(model, grid, margin) == expected
+        assert chains == []
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stable_substep_count_runs_chain_on_threshold_tie(dim, monkeypatch):
+    # without drift every ratio is exactly dt * Q / h^2: at 8 substeps
+    # 0.125 * 4 / 1 lies on the threshold, where only the chain can decide
+    grid = LatticeGrid.axis_aligned((5,) * dim, (1.0,) * dim, (0.0,) * dim)
+    model = ContinuousDynamicsModel(np.zeros((dim, dim)), np.diag([4.0] * dim))
+    with recorded_chains(monkeypatch) as chains:
+        assert stable_substep_count(model, grid, 1.0) == 8
+    assert chains == [8]
+    assert chain_search(model, grid, 1.0) == 8
+
+
+@pytest.mark.filterwarnings("ignore::pointmass.LatticeShearWarning")
+@pytest.mark.parametrize(
+    "grid, model",
+    [
+        (
+            LatticeGrid.spanning((99,), (0.5,), (6.0,)),
+            ContinuousDynamicsModel([[-0.5]], [[0.4]]),
+        ),
+        (
+            LatticeGrid.spanning((31, 25), (0.5, -0.3), (6.0, 5.0)),
+            ContinuousDynamicsModel(
+                np.array([[-0.2, 0.5], [-0.5, -0.1]]), np.diag([0.25, 0.2])
+            ),
+        ),
+        (
+            LatticeGrid.spanning((9, 7, 5), (0.0, 0.1, -0.1), (3.0, 3.0, 2.5)),
+            ContinuousDynamicsModel(
+                np.array([[-0.3, 0.2, 0.0], [0.0, -0.2, 0.3], [0.0, 0.0, -0.4]]),
+                np.diag([0.2, 0.3, 0.25]),
+            ),
+        ),
+    ],
+    ids=["1d-ou", "2d-rotating", "3d-nonnormal"],
+)
+def test_spectral_operator_equals_per_substep_loop(grid, model):
+    op = spectral_operator(model, grid)
+    assert op.substeps == chain_search(model, grid, 0.8)
+    assert np.array_equal(op.lambda_pow, chain_lambda_pow(model, grid, op.substeps))
+
+
 def test_shear_warning_for_rotating_flow():
     g = LatticeGrid.spanning((9, 9), (0.0, 0.0), (4.0, 4.0))
     pmd = gaussian_pmd(g, np.eye(2))
@@ -392,23 +541,73 @@ def test_shear_warning_for_rotating_flow():
 # -- runtime ------------------------------------------------------------------------------
 
 
-def test_efficient_builds_no_grid_per_substep(monkeypatch):
-    # the substep schedule and its search run on stacked arrays; grid
-    # objects are built only at the boundary, whatever the substep count
+def ou_65():
     g = LatticeGrid.spanning((65, 65), (0.0, 0.0), (6.0, 6.0))
-    pmd = gaussian_pmd(g, np.eye(2))
     model = ContinuousDynamicsModel(np.diag([-0.5, -0.2]), np.diag([0.4, 0.3]))
-    assert resolve_substeps(model, g) > 50
-    original = LatticeGrid.__post_init__
+    return gaussian_pmd(g, np.eye(2)), model
+
+
+def test_efficient_builds_no_grid_per_substep(monkeypatch):
+    # the substep schedule and its search run on stacked arrays, and the
+    # step builds its output grid and density without validating them again
+    pmd, model = ou_65()
+    assert resolve_substeps(model, pmd.grid) > 50
     constructed = []
+    for cls in (LatticeGrid, PointMassDensity):
+        original = cls.__post_init__
 
-    def counting_post_init(self):
-        constructed.append(self)
-        original(self)
+        def counting_post_init(self, original=original):
+            constructed.append(self)
+            original(self)
 
-    monkeypatch.setattr(LatticeGrid, "__post_init__", counting_post_init)
-    predict_efficient(pmd, model)
-    assert len(constructed) <= 3
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    out = predict_efficient(pmd, model)
+    assert constructed == []
+    assert not out.weights.flags.writeable and not out.grid.basis.flags.writeable
+
+
+def test_efficient_runs_sequential_chain_only_for_final_count(monkeypatch):
+    # the substep search decides its probes without a product chain; the
+    # step runs one chain each for the bases and centers of the final count
+    pmd, model = ou_65()
+    substeps = resolve_substeps(model, pmd.grid)
+    with recorded_chains(monkeypatch) as chains:
+        predict_efficient(pmd, model)
+    assert chains == [substeps, substeps]
+
+
+@pytest.mark.parametrize("predictor", [predict_standard, predict_efficient])
+def test_predictors_check_dimensions_before_the_search(predictor):
+    for model_dim, grid_dim in ((1, 2), (2, 1)):
+        g = LatticeGrid.spanning((5,) * grid_dim, (0.0,) * grid_dim, (2.0,) * grid_dim)
+        pmd = gaussian_pmd(g, np.eye(grid_dim))
+        model = ContinuousDynamicsModel(-np.eye(model_dim), 0.2 * np.eye(model_dim))
+        with pytest.raises(ValueError, match="model and density must share"):
+            predictor(pmd, model)
+        with pytest.raises(ValueError, match="model and grid must share"):
+            stable_substep_count(model, g)
+        with pytest.raises(ValueError, match="model and grid must share"):
+            spectral_operator(model, g)
+
+
+@pytest.mark.parametrize("predictor", [predict_standard, predict_efficient])
+def test_predictors_fail_loudly_on_overflow(predictor):
+    # the step builds its output without validating it again, so what
+    # floating point can break there is checked in the step
+    g = LatticeGrid.spanning((9,), (0.0,), (2.0,))
+    # the contracting grid scales every weight by 1 - dt trace(A) = 2
+    contracting = ContinuousDynamicsModel([[-1.0]], [[0.0]], substeps=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="weights must be finite"
+    ):
+        predictor(PointMassDensity(g, np.full(9, 1e308)), contracting, normalized=False)
+    # exp(700) is finite; it moves a 1e10-wide grid past the float range
+    wide = LatticeGrid((9,), [[1e10]], [0.0])
+    exploding = ContinuousDynamicsModel([[700.0]], [[0.0]], substeps=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="basis and center must be finite"
+    ):
+        predictor(PointMassDensity(wide, np.ones(9)), exploding)
 
 
 def test_efficient_cd_much_faster_than_dense():
