@@ -6,6 +6,7 @@ continuous-time dynamics.  Each model family offers a standard
 matrix-form predictor and an equivalent fast predictor (FFT convolution
 for discrete dynamics, fast sine transform for continuous dynamics);
 the standard form serves as the correctness reference for the fast one.
+:func:`propagate` applies either predictor step after step.
 """
 
 from . import predict_cd, predict_dd, transforms
@@ -25,6 +26,7 @@ from .models import (
     matrix_exponential,
 )
 from .predict_cd import LatticeShearWarning, StabilityError
+from .propagation import PropagationStep, propagate
 
 __all__ = [
     "LatticeGrid",
@@ -40,6 +42,8 @@ __all__ = [
     "matrix_exponential",
     "StabilityError",
     "LatticeShearWarning",
+    "propagate",
+    "PropagationStep",
     "predict_dd",
     "predict_cd",
     "transforms",

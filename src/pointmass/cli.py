@@ -14,7 +14,16 @@ Subcommands:
   prints a JSON report of per-step weight and moment differences,
   failing (exit 1) if they exceed the oracle threshold.
 
-Scenario files are JSON with explicit keys mirroring the fields below.
+A scenario file is a JSON object.  :class:`Scenario` turns each field
+once into the library object that owns it: the grid, the dynamics model
+with its noise density, the initial density and the predictor functions.
+Those constructors validate the values; the parser checks only what no
+library object knows (field names, which fields each kind requires or
+forbids, shapes against the grid dimension, positive grid steps, a
+nonnegative step count, odd counts for the efficient predictor and the
+``inflation_coverage`` rules).  ``predict`` and ``compare`` step the
+densities through :func:`pointmass.propagate`.
+
 The environment variable ``POINTMASS_THREADS`` overrides the worker
 count of the internal sine transforms.
 """
@@ -23,16 +32,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
+import numbers
 import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import predict_cd, predict_dd
 from .grid import LatticeGrid, PointMassDensity, save_pmd
@@ -42,6 +55,7 @@ from .models import (
     GaussianDensity,
     LaplaceDensity,
 )
+from .propagation import propagate
 
 __all__ = ["Scenario", "run_predict", "run_bench", "run_compare", "main"]
 
@@ -50,258 +64,180 @@ COMPARE_THRESHOLDS = {"dd": 1e-10, "cd": 1e-8}
 
 CSV_COLUMNS = ["predictor", "n_x", "counts", "N", "median_s", "ratio"]
 
-
-def _matrix(value: Any, n: int, name: str) -> list[list[float]]:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n, n):
-        raise ValueError(f"scenario field '{name}' must be a {n}x{n} matrix")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"scenario field '{name}' must be finite")
-    return [[float(v) for v in row] for row in arr]
+_FIELDS = {
+    "kind", "grid", "initial", "steps", "predictor", "F", "noise",
+    "A", "Q", "sampling_period", "substeps", "inflation_coverage",
+}
+_REQUIRED = {"dd": ("F", "noise"), "cd": ("A", "Q")}
+_FORBIDDEN = {"dd": ("A", "Q", "substeps"), "cd": ("F", "noise")}
 
 
-def _vector(value: Any, n: int, name: str) -> list[float]:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"scenario field '{name}' must be a length-{n} vector")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"scenario field '{name}' must be finite")
-    return [float(v) for v in arr]
+def _object(data: dict[str, Any], key: str) -> dict[str, Any]:
+    value = data.get(key)
+    if not isinstance(value, dict):
+        raise ValueError(f"scenario must contain a '{key}' object")
+    return value
 
 
-@dataclass
+def _array(value: Any, shape: tuple[int, ...], name: str) -> NDArray[np.float64]:
+    """``value`` as a float array of ``shape``; the error names the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"scenario field '{name}' must be numbers of shape {shape}")
+    return arr
+
+
+def _noise(noise: dict[str, Any], n: int) -> GaussianDensity | LaplaceDensity:
+    kind = noise.get("type")
+    if kind == "gaussian":
+        return GaussianDensity(
+            _array(noise.get("covariance"), (n, n), "noise.covariance")
+        )
+    if kind == "laplace":
+        return LaplaceDensity(_array(noise.get("scales"), (n,), "noise.scales"))
+    raise ValueError("noise.type must be 'gaussian' or 'laplace'")
+
+
+def _initial(initial: dict[str, Any], n: int) -> GaussianDensity | None:
+    kind = initial.get("type")
+    if kind == "gaussian":
+        return GaussianDensity(
+            _array(initial.get("covariance"), (n, n), "initial.covariance"),
+            mean=_array(initial.get("mean"), (n,), "initial.mean"),
+        )
+    if kind == "uniform":
+        return None
+    raise ValueError("initial.type must be 'gaussian' or 'uniform'")
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Parsed, validated benchmark/prediction scenario."""
+    """A parsed scenario: the library objects its JSON fields describe.
+
+    ``initial`` is the density sampled on the grid to start from, or
+    ``None`` for a uniform start.  ``predictors`` maps each selected
+    predictor's name (``standard``, ``efficient``) to its step function.
+    """
 
     kind: str
-    grid_counts: list[int]
-    grid_steps: list[float]
-    grid_center: list[float]
-    initial: dict[str, Any]
+    grid: LatticeGrid
+    model: DiscreteDynamicsModel | ContinuousDynamicsModel
+    initial: GaussianDensity | None
     steps: int
-    predictor: str
-    F: list[list[float]] | None = None
-    noise: dict[str, Any] | None = None
-    A: list[list[float]] | None = None
-    Q: list[float] | None = None
-    sampling_period: float = 1.0
-    substeps: int | None = None
-    inflation_coverage: float | None = None
-    allow_even_counts: bool = field(default=False, compare=False)
+    predictors: dict[str, Callable[..., PointMassDensity]]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("dd", "cd"):
-            raise ValueError(f"scenario kind must be 'dd' or 'cd', got {self.kind!r}")
-        if self.predictor not in ("standard", "efficient", "both"):
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> Scenario:
+        if not isinstance(data, dict):
+            raise ValueError("a scenario must be a JSON object")
+        unknown = set(data) - _FIELDS
+        if unknown:
+            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+        kind = data.get("kind")
+        if kind not in ("dd", "cd"):
+            raise ValueError(f"scenario kind must be 'dd' or 'cd', got {kind!r}")
+        predictor = data.get("predictor")
+        if predictor not in ("standard", "efficient", "both"):
             raise ValueError(
                 "scenario predictor must be 'standard', 'efficient' or 'both', "
-                f"got {self.predictor!r}"
+                f"got {predictor!r}"
             )
-        self.grid_counts = [int(n) for n in self.grid_counts]
-        n = len(self.grid_counts)
-        if n == 0 or any(c < 1 for c in self.grid_counts):
-            raise ValueError("grid counts must be positive integers")
-        self.grid_steps = _vector(self.grid_steps, n, "grid.steps")
-        if any(s <= 0 for s in self.grid_steps):
+        missing = [k for k in _REQUIRED[kind] if data.get(k) is None]
+        if missing:
+            raise ValueError(f"{kind} scenarios require {missing}")
+        extra = [k for k in _FORBIDDEN[kind] if data.get(k) is not None]
+        if extra:
+            raise ValueError(f"{kind} scenarios must not set {extra}")
+
+        grid_data = _object(data, "grid")
+        counts = list(grid_data.get("counts", []))
+        n = len(counts)
+        grid_steps = _array(grid_data.get("steps"), (n,), "grid.steps")
+        if (grid_steps <= 0).any():
             raise ValueError("grid steps must be positive")
-        self.grid_center = _vector(self.grid_center, n, "grid.center")
-        self.steps = int(self.steps)
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+        grid = LatticeGrid.axis_aligned(
+            counts, grid_steps, _array(grid_data.get("center"), (n,), "grid.center")
+        )
+        if predictor != "standard" and not grid.all_counts_odd:
+            raise ValueError(
+                "the efficient predictor requires odd per-axis counts, "
+                f"got {list(grid.counts)}"
+            )
+        steps = data.get("steps", 0)
+        if not (
+            isinstance(steps, numbers.Real)
+            and steps >= 0
+            and float(steps).is_integer()
+        ):
+            raise ValueError("steps must be a nonnegative integer")
 
-        if self.predictor in ("efficient", "both") and not self.allow_even_counts:
-            even = [c for c in self.grid_counts if c % 2 == 0]
-            if even:
-                raise ValueError(
-                    "the efficient predictor requires odd per-axis counts, "
-                    f"got {self.grid_counts}"
-                )
-
-        if self.kind == "dd":
-            if self.F is None or self.noise is None:
-                raise ValueError("dd scenarios require 'F' and 'noise'")
-            if self.A is not None or self.Q is not None or self.substeps is not None:
-                raise ValueError("dd scenarios must not set 'A', 'Q' or 'substeps'")
-            self.F = _matrix(self.F, n, "F")
-            if abs(np.linalg.det(np.asarray(self.F))) == 0.0:
-                raise ValueError("scenario field 'F' must be nonsingular")
-            self.noise = self._canonical_noise(self.noise, n)
-            self.sampling_period = 1.0  # unused for dd; canonical for round trips
+        model: DiscreteDynamicsModel | ContinuousDynamicsModel
+        if kind == "dd":
+            model = DiscreteDynamicsModel(
+                _array(data["F"], (n, n), "F"), _noise(_object(data, "noise"), n)
+            )
+            module = predict_dd
         else:
-            if self.A is None or self.Q is None:
-                raise ValueError("cd scenarios require 'A' and 'Q'")
-            if self.F is not None or self.noise is not None:
-                raise ValueError("cd scenarios must not set 'F' or 'noise'")
-            self.A = _matrix(self.A, n, "A")
-            self.Q = _vector(self.Q, n, "Q")
-            if any(q < 0 for q in self.Q):
-                raise ValueError("scenario field 'Q' entries must be nonnegative")
-            self.sampling_period = float(self.sampling_period)
-            if self.sampling_period <= 0:
-                raise ValueError("sampling_period must be positive")
-            if self.substeps is not None:
-                self.substeps = int(self.substeps)
-                if self.substeps < 1:
-                    raise ValueError("substeps must be a positive integer")
+            model = ContinuousDynamicsModel(
+                _array(data["A"], (n, n), "A"),
+                _array(data["Q"], (n,), "Q"),
+                sampling_period=data.get("sampling_period", 1.0),
+                substeps=data.get("substeps"),
+            )
+            module = predict_cd
+        predictors = {
+            "standard": module.predict_standard,
+            "efficient": module.predict_efficient,
+        }
 
-        self.initial = self._canonical_initial(self.initial, n)
-
-        if self.inflation_coverage is not None:
-            self.inflation_coverage = float(self.inflation_coverage)
-            if self.inflation_coverage <= 0:
-                raise ValueError("inflation_coverage must be positive")
-            if self.kind != "dd" or self.predictor != "efficient":
+        coverage = data.get("inflation_coverage")
+        if coverage is not None:
+            if kind != "dd" or predictor != "efficient":
                 raise ValueError(
                     "inflation_coverage applies only to dd scenarios with "
                     "predictor 'efficient'"
                 )
+            coverage = float(coverage)
+            if not 0 < coverage < math.inf:
+                raise ValueError("inflation_coverage must be positive and finite")
+            predictors["efficient"] = functools.partial(
+                predict_dd.predict_inflated, coverage=coverage
+            )
+        if predictor != "both":
+            predictors = {predictor: predictors[predictor]}
 
-    @staticmethod
-    def _canonical_noise(noise: dict[str, Any], n: int) -> dict[str, Any]:
-        kind = noise.get("type")
-        if kind == "gaussian":
-            return {
-                "type": "gaussian",
-                "covariance": _matrix(noise.get("covariance"), n, "noise.covariance"),
-            }
-        if kind == "laplace":
-            scales = _vector(noise.get("scales"), n, "noise.scales")
-            if any(s <= 0 for s in scales):
-                raise ValueError("noise.scales must be positive")
-            return {"type": "laplace", "scales": scales}
-        raise ValueError("noise.type must be 'gaussian' or 'laplace'")
-
-    @staticmethod
-    def _canonical_initial(initial: dict[str, Any], n: int) -> dict[str, Any]:
-        kind = initial.get("type")
-        if kind == "gaussian":
-            return {
-                "type": "gaussian",
-                "mean": _vector(initial.get("mean"), n, "initial.mean"),
-                "covariance": _matrix(
-                    initial.get("covariance"), n, "initial.covariance"
-                ),
-            }
-        if kind == "uniform":
-            return {"type": "uniform"}
-        raise ValueError("initial.type must be 'gaussian' or 'uniform'")
-
-    # -- (de)serialization ----------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any], *, allow_even_counts: bool = False
-                  ) -> Scenario:
-        grid = data.get("grid")
-        if not isinstance(grid, dict):
-            raise ValueError("scenario must contain a 'grid' object")
-        known = {
-            "kind", "grid", "initial", "steps", "predictor", "F", "noise",
-            "A", "Q", "sampling_period", "substeps", "inflation_coverage",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(
-            kind=data.get("kind", ""),
-            grid_counts=list(grid.get("counts", [])),
-            grid_steps=list(grid.get("steps", [])),
-            grid_center=list(grid.get("center", [])),
-            initial=dict(data.get("initial", {})),
-            steps=data.get("steps", 0),
-            predictor=data.get("predictor", ""),
-            F=data.get("F"),
-            noise=data.get("noise"),
-            A=data.get("A"),
-            Q=data.get("Q"),
-            sampling_period=data.get("sampling_period", 1.0),
-            substeps=data.get("substeps"),
-            inflation_coverage=data.get("inflation_coverage"),
-            allow_even_counts=allow_even_counts,
+            kind=kind,
+            grid=grid,
+            model=model,
+            initial=_initial(_object(data, "initial"), n),
+            steps=int(steps),
+            predictors=predictors,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "kind": self.kind,
-            "grid": {
-                "counts": list(self.grid_counts),
-                "steps": list(self.grid_steps),
-                "center": list(self.grid_center),
-            },
-            "initial": self.initial,
-            "steps": self.steps,
-            "predictor": self.predictor,
-        }
-        if self.kind == "dd":
-            out["F"] = self.F
-            out["noise"] = self.noise
-        else:
-            out["A"] = self.A
-            out["Q"] = self.Q
-            out["sampling_period"] = self.sampling_period
-            out["substeps"] = self.substeps
-        if self.inflation_coverage is not None:
-            out["inflation_coverage"] = self.inflation_coverage
-        return out
-
     @classmethod
-    def load(cls, path: str, *, allow_even_counts: bool = False) -> Scenario:
+    def load(cls, path: str) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls.from_dict(data, allow_even_counts=allow_even_counts)
-
-    # -- construction of runtime objects ---------------------------------------
+        return cls.from_dict(data)
 
     def build_grid(self) -> LatticeGrid:
-        return LatticeGrid.axis_aligned(
-            self.grid_counts, self.grid_steps, self.grid_center
-        )
+        """The scenario's grid, as ``grid``; scripts such as the benchmark's
+        workloads load a scenario and build its parts through these names."""
+        return self.grid
 
     def build_model(self) -> DiscreteDynamicsModel | ContinuousDynamicsModel:
-        if self.kind == "dd":
-            assert self.F is not None and self.noise is not None
-            if self.noise["type"] == "gaussian":
-                dens = GaussianDensity(np.asarray(self.noise["covariance"]))
-            else:
-                dens = LaplaceDensity(np.asarray(self.noise["scales"]))
-            return DiscreteDynamicsModel(np.asarray(self.F), dens)
-        assert self.A is not None and self.Q is not None
-        return ContinuousDynamicsModel(
-            np.asarray(self.A),
-            np.diag(self.Q),
-            sampling_period=self.sampling_period,
-            substeps=self.substeps,
-        )
+        """The scenario's model, as ``model``."""
+        return self.model
 
     def build_initial(self, grid: LatticeGrid) -> PointMassDensity:
-        if self.initial["type"] == "uniform":
+        """The initial density sampled on ``grid``, at unit mass."""
+        if self.initial is None:
             return PointMassDensity(grid, np.ones(grid.size)).normalized()
-        dens = GaussianDensity(
-            np.asarray(self.initial["covariance"]),
-            mean=np.asarray(self.initial["mean"]),
-        )
-        return PointMassDensity.from_density(dens, grid)
-
-    def step_functions(
-        self,
-    ) -> dict[str, Callable[[PointMassDensity, Any], PointMassDensity]]:
-        """Selected predictor callables keyed by name."""
-        mod = predict_dd if self.kind == "dd" else predict_cd
-        table: dict[str, Callable] = {}
-        if self.predictor in ("standard", "both"):
-            table["standard"] = mod.predict_standard
-        if self.predictor in ("efficient", "both"):
-            if self.kind == "dd" and self.inflation_coverage is not None:
-                coverage = self.inflation_coverage
-
-                def inflated(pmd, model, *, normalized=True):
-                    return predict_dd.predict_inflated(
-                        pmd, model, coverage=coverage, normalized=normalized
-                    )
-
-                table["efficient"] = inflated
-            else:
-                table["efficient"] = mod.predict_efficient
-        return table
+        return PointMassDensity.from_density(self.initial, grid)
 
 
 # -- commands ------------------------------------------------------------------
@@ -309,24 +245,20 @@ class Scenario:
 
 def run_predict(scenario: Scenario, out_dir: str | None = None) -> dict[str, Any]:
     """Run the scenario's prediction steps and summarize the results."""
-    grid = scenario.build_grid()
-    model = scenario.build_model()
-    initial = scenario.build_initial(grid)
+    initial = scenario.build_initial(scenario.grid)
     summary: dict[str, Any] = {
         "kind": scenario.kind,
         "steps": scenario.steps,
         "results": {},
     }
-    for name, step in scenario.step_functions().items():
+    for name, predict in scenario.predictors.items():
         pmd = initial
         masses: list[float] = []
         clocks: list[float] = []
-        for _ in range(scenario.steps):
-            start = time.perf_counter()
-            raw = step(pmd, model, normalized=False)
-            clocks.append(time.perf_counter() - start)
-            masses.append(raw.mass)
-            pmd = raw.normalized()
+        for step in propagate(initial, scenario.model, scenario.steps, predict):
+            pmd = step.density
+            masses.append(step.raw.mass)
+            clocks.append(step.seconds)
         mean, cov = pmd.moments()
         entry: dict[str, Any] = {
             "final_mean": [float(v) for v in mean],
@@ -345,12 +277,12 @@ def run_predict(scenario: Scenario, out_dir: str | None = None) -> dict[str, Any
 
 def _with_counts(scenario: Scenario, per_axis: int) -> Scenario:
     """Scenario rerun at a different per-axis count, preserving the span."""
-    new_counts = [per_axis] * len(scenario.grid_counts)
-    new_steps = [
-        s * (c - 1) / (per_axis - 1)
-        for s, c in zip(scenario.grid_steps, scenario.grid_counts)
-    ]
-    return replace(scenario, grid_counts=new_counts, grid_steps=new_steps)
+    grid = scenario.grid
+    steps = np.diag(grid.basis) * (np.asarray(grid.counts) - 1) / (per_axis - 1)
+    return replace(
+        scenario,
+        grid=LatticeGrid.axis_aligned([per_axis] * grid.dim, steps, grid.center),
+    )
 
 
 def run_bench(
@@ -371,16 +303,15 @@ def run_bench(
     rows: list[dict[str, Any]] = []
     measured: dict[str, list[tuple[int, float]]] = {}
     for variant in variants:
-        grid = variant.build_grid()
-        model = variant.build_model()
+        grid, model = variant.grid, variant.model
         initial = variant.build_initial(grid)
         medians: dict[str, float] = {}
-        for name, step in variant.step_functions().items():
-            step(initial, model)  # warm-up
+        for name, predict in variant.predictors.items():
+            predict(initial, model)  # warm-up
             times = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                step(initial, model)
+                predict(initial, model)
                 times.append(time.perf_counter() - start)
             medians[name] = statistics.median(times)
             measured.setdefault(name, []).append((grid.size, medians[name]))
@@ -409,21 +340,20 @@ def run_bench(
 
 
 def run_compare(scenario: Scenario) -> dict[str, Any]:
-    """Step both predictors side by side and report their differences."""
-    if scenario.predictor != "both":
+    """Step both predictors in lockstep and report their differences."""
+    if set(scenario.predictors) != {"standard", "efficient"}:
         raise ValueError("compare requires a scenario with predictor 'both'")
-    grid = scenario.build_grid()
-    model = scenario.build_model()
-    initial = scenario.build_initial(grid)
-    steps = scenario.step_functions()
+    initial = scenario.build_initial(scenario.grid)
+    standard, efficient = (
+        propagate(initial, scenario.model, scenario.steps, scenario.predictors[name])
+        for name in ("standard", "efficient")
+    )
     threshold = COMPARE_THRESHOLDS[scenario.kind]
 
-    std = eff = initial
     records: list[dict[str, Any]] = []
     worst = 0.0
-    for k in range(scenario.steps):
-        std = steps["standard"](std, model)
-        eff = steps["efficient"](eff, model)
+    for k, (std_step, eff_step) in enumerate(zip(standard, efficient), start=1):
+        std, eff = std_step.density, eff_step.density
         if std.grid != eff.grid:
             raise ValueError("predictors diverged onto different grids")
         rel = float(
@@ -433,7 +363,7 @@ def run_compare(scenario: Scenario) -> dict[str, Any]:
         mean_e, cov_e = eff.moments()
         records.append(
             {
-                "step": k + 1,
+                "step": k,
                 "max_rel_weight_diff": rel,
                 "mean_abs_diff": float(np.abs(mean_s - mean_e).max()),
                 "cov_frobenius_diff": float(np.linalg.norm(cov_s - cov_e)),
@@ -485,24 +415,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run both predictors and compare")
     p_compare.add_argument("scenario")
     p_compare.add_argument("--out", default=None, help="also write the JSON here")
-    p_compare.add_argument(
-        "--debug-allow-even",
-        action="store_true",
-        help="debug: skip the odd-count scenario validation",
-    )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        scenario = Scenario.load(args.scenario)
         if args.command == "predict":
-            scenario = Scenario.load(args.scenario)
             summary = run_predict(scenario, args.out)
             print(json.dumps(summary, indent=2))
             return 0
         if args.command == "bench":
-            scenario = Scenario.load(args.scenario)
             sweep = None
             if args.sweep:
                 sweep = [int(tok) for tok in args.sweep.split(",") if tok]
@@ -516,9 +440,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"slope {name} {slope:.4f}", file=sys.stderr)
             return 0
         if args.command == "compare":
-            scenario = Scenario.load(
-                args.scenario, allow_even_counts=args.debug_allow_even
-            )
             report = run_compare(scenario)
             text = json.dumps(report, indent=2)
             print(text)

@@ -263,6 +263,21 @@ class LatticeGrid:
         )
 
 
+def _derived_grid(
+    counts: tuple[int, ...], basis: NDArray, center: NDArray
+) -> LatticeGrid:
+    """Grid whose fresh basis and center arrays the library computed from a
+    valid grid through a nonsingular linear map.  Only overflow or
+    underflow of the products can make it invalid, so only that is
+    checked; the arrays are marked read-only in place."""
+    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
+        raise ValueError("basis and center must be finite")
+    grid = LatticeGrid._trusted(counts, basis, center)
+    if grid.cell_volume == 0.0:
+        raise ValueError("basis matrix is singular")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class PointMassDensity:
     """A lattice grid plus one nonnegative density weight per point."""
@@ -407,6 +422,18 @@ class PointMassDensity:
             values += factor * contrib
         pmd = PointMassDensity(target, np.clip(values, 0.0, None))
         return pmd.normalized() if normalized else pmd
+
+
+def _predicted_density(
+    grid: LatticeGrid, weights: NDArray, normalized: bool
+) -> PointMassDensity:
+    """A predictor's output from fresh weights built of nonnegative
+    factors (or clipped at zero), normalized on request."""
+    # overflow or a NaN can still make such weights non-finite
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    pmd = PointMassDensity._trusted(grid, weights)
+    return pmd.normalized() if normalized else pmd
 
 
 # -- dump format --------------------------------------------------------------

@@ -14,6 +14,7 @@ grid inflation uses to size enlarged grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -90,6 +91,8 @@ class GaussianDensity:
             cov = np.diag(cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         n = cov.shape[0]
@@ -102,6 +105,8 @@ class GaussianDensity:
         self.mean = np.zeros(n) if mean is None else np.asarray(mean, dtype=float)
         if self.mean.shape != (n,):
             raise ValueError(f"mean must have shape ({n},)")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("mean must be finite")
         # whitener W satisfies |W (x - mean)|^2 = (x - mean)' cov^-1 (x - mean)
         self.whitener = np.linalg.inv(chol)
         self.log_norm = -0.5 * (
@@ -124,8 +129,8 @@ class LaplaceDensity:
 
     def __init__(self, scales: NDArray | float):
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
-        if scales.ndim != 1 or (scales <= 0).any():
-            raise ValueError("scales must be a vector of positive reals")
+        if scales.ndim != 1 or not (np.isfinite(scales) & (scales > 0)).all():
+            raise ValueError("scales must be a vector of positive finite reals")
         self.dim = scales.shape[0]
         self.scales = scales
         self.covariance = np.diag(2.0 * scales**2)
@@ -211,9 +216,10 @@ class ContinuousDynamicsModel:
 
     ``Q`` must be diagonal positive semidefinite: the per-axis diffusion
     scheme reads only the diagonal, so off-diagonal diffusion is
-    rejected up front.  ``substeps`` is the number of explicit Euler
-    steps per sampling period; ``None`` selects the smallest stable
-    count at prediction time.
+    rejected up front.  ``sampling_period`` must be positive and finite.
+    ``substeps`` is the number of explicit Euler steps per sampling
+    period, an integral value of at least 1; ``None`` selects the
+    smallest stable count at prediction time.
     """
 
     A: NDArray[np.float64]
@@ -240,14 +246,25 @@ class ContinuousDynamicsModel:
             )
         if (np.diag(q) < 0).any():
             raise ValueError("Q diagonal entries must be nonnegative")
-        if not self.sampling_period > 0:
-            raise ValueError("sampling period must be positive")
-        if self.substeps is not None and self.substeps < 1:
-            raise ValueError("substeps must be a positive integer")
+        period = self.sampling_period
+        if not (isinstance(period, numbers.Real) and 0 < period < math.inf):
+            raise ValueError("sampling period must be positive and finite")
+        substeps = self.substeps
+        if substeps is not None:
+            # integral floats such as 30.0 are accepted; 2.5 is not truncated
+            if not (
+                isinstance(substeps, numbers.Real)
+                and substeps >= 1
+                and float(substeps).is_integer()
+            ):
+                raise ValueError("substeps must be a positive integer")
+            substeps = int(substeps)
         a.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "Q", q)
+        object.__setattr__(self, "sampling_period", float(period))
+        object.__setattr__(self, "substeps", substeps)
 
     @property
     def dim(self) -> int:

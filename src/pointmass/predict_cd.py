@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import LatticeGrid, PointMassDensity, reshape_linear
+from .grid import (
+    LatticeGrid,
+    PointMassDensity,
+    _derived_grid,
+    _predicted_density,
+    reshape_linear,
+)
 from .models import ContinuousDynamicsModel, matrix_exponential
 from .transforms import dst1_nd
 
@@ -406,31 +412,8 @@ def spectral_operator(
     lam_pow = _eigenvalue_product(
         1.0 - dt * model.trace_drift, ratios, _axis_cosines(grid.counts)
     )
-    final_grid = _moved_grid(grid.counts, bases[-1], centers[-1])
+    final_grid = _derived_grid(grid.counts, bases[-1].copy(), centers[-1].copy())
     return SpectralDiffusionOperator(lam_pow, substeps, final_grid)
-
-
-def _moved_grid(counts: tuple[int, ...], basis: NDArray, center: NDArray) -> LatticeGrid:
-    """Grid after the flow, built without a second validation.  The flow
-    keeps the basis nonsingular, so only overflow or underflow of the
-    products can make it invalid, and only that is checked."""
-    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
-        raise ValueError("basis and center must be finite")
-    grid = LatticeGrid._trusted(counts, basis.copy(), center.copy())
-    if grid.cell_volume == 0.0:
-        raise ValueError("basis matrix is singular")
-    return grid
-
-
-def _finish(
-    grid: LatticeGrid, weights: NDArray, normalized: bool
-) -> PointMassDensity:
-    # clipped weights are nonnegative, but overflow or a NaN can still
-    # make them non-finite
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    pmd = PointMassDensity._trusted(grid, weights)
-    return pmd.normalized() if normalized else pmd
 
 
 def predict_standard(
@@ -449,8 +432,8 @@ def predict_standard(
     for basis, center in zip(bases[:-1], centers[:-1]):
         grid = LatticeGrid(counts, basis, center)
         weights = diffusion_matrix(model, grid, dt) @ weights
-    final_grid = _moved_grid(counts, bases[-1], centers[-1])
-    return _finish(final_grid, np.clip(weights, 0.0, None), normalized)
+    final_grid = _derived_grid(counts, bases[-1].copy(), centers[-1].copy())
+    return _predicted_density(final_grid, np.clip(weights, 0.0, None), normalized)
 
 
 def predict_efficient(
@@ -475,4 +458,4 @@ def predict_efficient(
     back = dst1_nd(spectrum)
     scale = math.prod(2.0 / (n + 1) for n in pmd.grid.counts)
     weights = np.clip(reshape_linear(back) * scale, 0.0, None)
-    return _finish(op.final_grid, weights, normalized)
+    return _predicted_density(op.final_grid, weights, normalized)

@@ -25,7 +25,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import LatticeGrid, PointMassDensity
+from .grid import LatticeGrid, PointMassDensity, _derived_grid, _predicted_density
 from .models import DiscreteDynamicsModel, GaussianDensity
 from .transforms import convolve_fft_nd
 
@@ -52,13 +52,7 @@ def transformed_grid(grid: LatticeGrid, transition: NDArray) -> LatticeGrid:
     f = np.asarray(transition, dtype=float)
     if abs(np.linalg.det(f)) == 0.0:
         raise ValueError("transition matrix must be nonsingular")
-    basis, center = f @ grid.basis, f @ grid.center
-    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
-        raise ValueError("basis and center must be finite")
-    new_grid = LatticeGrid._trusted(grid.counts, basis, center)
-    if new_grid.cell_volume == 0.0:
-        raise ValueError("basis matrix is singular")
-    return new_grid
+    return _derived_grid(grid.counts, f @ grid.basis, f @ grid.center)
 
 
 def _target_rows(
@@ -107,17 +101,6 @@ def middle_row_kernel(
     # stores there.
     target = model.F @ grid.center + 0.0
     return _target_rows(model, grid, target).reshape(grid.counts)
-
-
-def _finish(
-    grid: LatticeGrid, weights: NDArray, normalized: bool
-) -> PointMassDensity:
-    # Weights built from nonnegative factors are nonnegative, but overflow
-    # or a NaN can still make them non-finite.
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    pmd = PointMassDensity._trusted(grid, weights)
-    return pmd.normalized() if normalized else pmd
 
 
 def _check_dim(pmd: PointMassDensity, model: DiscreteDynamicsModel) -> None:
@@ -171,7 +154,7 @@ def predict_standard(
         for lo in range(0, n, block):
             rows = _target_rows(model, grid, targets[lo : lo + block])
             out[lo : lo + block] = rows @ weights
-    return _finish(new_grid, out, normalized)
+    return _predicted_density(new_grid, out, normalized)
 
 
 def predict_efficient(
@@ -192,7 +175,7 @@ def predict_efficient(
     kernel = middle_row_kernel(model, grid)
     new_grid = transformed_grid(grid, model.F)
     conv = convolve_fft_nd(kernel, pmd.weights.reshape(grid.counts))
-    return _finish(new_grid, np.clip(conv.reshape(-1), 0.0, None), normalized)
+    return _predicted_density(new_grid, np.clip(conv.reshape(-1), 0.0, None), normalized)
 
 
 def predict_inflated(

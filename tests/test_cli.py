@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointmass import load_pmd
+from pointmass import load_pmd, predict_dd
 from pointmass.cli import Scenario, main, run_bench, run_compare, run_predict
 
 
@@ -57,15 +58,29 @@ def write_scenario(tmp_path, data, name="scenario.json"):
     return str(path)
 
 
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+# the dense 5-D step of dd_5d_bench takes minutes; it is only loaded here
+SMALL_SCENARIOS = [p for p in SCENARIOS if p.stem != "dd_5d_bench"]
+
+
 # -- scenario parsing ---------------------------------------------------------------
 
 
-def test_scenario_round_trip_identity():
-    for data in (dd_scenario_dict((9, 9)), cd_scenario_dict((9,))):
-        first = Scenario.from_dict(data)
-        second = Scenario.from_dict(first.to_dict())
-        assert first == second
-        assert first.to_dict() == second.to_dict()
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_shipped_scenarios_load(path):
+    scenario = Scenario.load(str(path))
+    assert scenario.build_grid().dim == scenario.build_model().dim
+    assert scenario.build_initial(scenario.build_grid()).mass == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("path", SMALL_SCENARIOS, ids=lambda p: p.stem)
+def test_shipped_scenarios_predict(path):
+    scenario = Scenario.load(str(path))
+    summary = run_predict(scenario)
+    assert set(summary["results"]) == set(scenario.predictors)
+    for entry in summary["results"].values():
+        assert len(entry["mass_before_renormalization"]) == scenario.steps
+        assert np.isfinite(entry["final_covariance"]).all()
 
 
 def test_scenario_rejects_dimension_mismatch():
@@ -82,9 +97,6 @@ def test_scenario_rejects_even_counts_for_efficient():
     # the standard predictor accepts them
     data["predictor"] = "standard"
     Scenario.from_dict(data)
-    # and the debug escape hatch skips the scenario-level check
-    Scenario.from_dict(dd_scenario_dict((8,), predictor="efficient"),
-                       allow_even_counts=True)
 
 
 def test_scenario_rejects_unknown_fields():
@@ -108,8 +120,9 @@ def test_scenario_inflation_only_for_efficient_dd():
         Scenario.from_dict(data)
     data = dd_scenario_dict((21,), predictor="efficient")
     data["inflation_coverage"] = 3.0
-    s = Scenario.from_dict(data)
-    assert s.to_dict()["inflation_coverage"] == 3.0
+    efficient = Scenario.from_dict(data).predictors["efficient"]
+    assert efficient.func is predict_dd.predict_inflated
+    assert efficient.keywords == {"coverage": 3.0}
 
 
 # -- predict -----------------------------------------------------------------------
@@ -167,6 +180,15 @@ def test_predict_cli_invalid_scenario_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, {"kind": "dd"})
     assert main(["predict", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_predict_cli_non_finite_noise_scales_exit_code(tmp_path, capsys):
+    data = dd_scenario_dict((21,))
+    data["noise"] = {"type": "laplace", "scales": [float("nan")]}
+    path = write_scenario(tmp_path, data)
+    assert "NaN" in (tmp_path / "scenario.json").read_text()
+    assert main(["predict", path]) == 2
+    assert "scales" in capsys.readouterr().err
 
 
 # -- bench --------------------------------------------------------------------------
@@ -242,15 +264,9 @@ def test_compare_cli_pass_exit_code(tmp_path, capsys):
     assert report["passed"] is True
 
 
-def test_compare_cli_even_counts_debug_flag_fails_downstream(tmp_path, capsys):
+def test_compare_cli_rejects_even_counts(tmp_path, capsys):
     path = write_scenario(tmp_path, dd_scenario_dict((8,)))
-    # without the flag: scenario validation rejects it
     assert main(["compare", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # with the flag: validation is skipped, the predictor itself rejects,
-    # and no report is produced
-    assert main(["compare", path, "--debug-allow-even"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "odd" in captured.err

@@ -101,6 +101,21 @@ def test_gaussian_density_rejects_singular():
         GaussianDensity(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "cov, mean",
+    [([[math.inf]], None), ([[math.nan]], None), ([[1.0]], [math.nan]), ([[1.0]], [math.inf])],
+)
+def test_gaussian_density_rejects_non_finite(cov, mean):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianDensity(cov, mean=mean)
+
+
+@pytest.mark.parametrize("scales", [[math.nan], [math.inf], [1.0, math.nan], [0.0], [-1.0]])
+def test_laplace_density_rejects_bad_scales(scales):
+    with pytest.raises(ValueError, match="scales"):
+        LaplaceDensity(scales)
+
+
 def test_laplace_density_matches_formula():
     d = LaplaceDensity([0.5, 2.0])
     pts = np.array([[0.3, -1.1], [0.0, 0.0]])
@@ -151,7 +166,13 @@ def test_cd_model_accepts_diagonal_vector():
 
 
 def test_cd_model_rejects_bad_substeps():
-    with pytest.raises(ValueError, match="substeps"):
-        ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], substeps=0)
-    with pytest.raises(ValueError, match="sampling period"):
-        ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], sampling_period=0.0)
+    for substeps in (0, -3, 2.5, math.nan, math.inf, "30"):
+        with pytest.raises(ValueError, match="substeps"):
+            ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], substeps=substeps)
+    for period in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sampling period"):
+            ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], sampling_period=period)
+    # integral values are accepted, as ints
+    for substeps in (30, 30.0, np.int64(30)):
+        model = ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], substeps=substeps)
+        assert model.substeps == 30 and type(model.substeps) is int
