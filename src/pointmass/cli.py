@@ -23,9 +23,6 @@ forbids, shapes against the grid dimension, positive grid steps, a
 nonnegative step count, odd counts for the efficient predictor and the
 ``inflation_coverage`` rules).  ``predict`` and ``compare`` step the
 densities through :func:`pointmass.propagate`.
-
-The environment variable ``POINTMASS_THREADS`` overrides the worker
-count of the internal sine transforms.
 """
 
 from __future__ import annotations
@@ -153,7 +150,9 @@ class Scenario:
             raise ValueError(f"{kind} scenarios must not set {extra}")
 
         grid_data = _object(data, "grid")
-        counts = list(grid_data.get("counts", []))
+        counts = grid_data.get("counts", [])
+        if not isinstance(counts, list):
+            raise ValueError("scenario field 'grid.counts' must be a list")
         n = len(counts)
         grid_steps = _array(grid_data.get("steps"), (n,), "grid.steps")
         if (grid_steps <= 0).any():
@@ -200,11 +199,13 @@ class Scenario:
                     "inflation_coverage applies only to dd scenarios with "
                     "predictor 'efficient'"
                 )
-            coverage = float(coverage)
-            if not 0 < coverage < math.inf:
-                raise ValueError("inflation_coverage must be positive and finite")
+            if not (isinstance(coverage, numbers.Real) and 0 < coverage < math.inf):
+                raise ValueError(
+                    "scenario field 'inflation_coverage' must be a positive "
+                    "finite number"
+                )
             predictors["efficient"] = functools.partial(
-                predict_dd.predict_inflated, coverage=coverage
+                predict_dd.predict_inflated, coverage=float(coverage)
             )
         if predictor != "both":
             predictors = {predictor: predictors[predictor]}

@@ -23,6 +23,7 @@ same buffer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, IO, Sequence
@@ -103,9 +104,14 @@ class LatticeGrid:
     center: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(n) for n in self.counts)
-        if not counts or any(n < 1 for n in counts):
+        counts = tuple(self.counts)
+        # integral floats such as 21.0 are accepted; 20.7 is not truncated
+        if not counts or not all(
+            isinstance(n, numbers.Real) and n >= 1 and float(n).is_integer()
+            for n in counts
+        ):
             raise ValueError(f"counts must be positive integers, got {counts}")
+        counts = tuple(int(n) for n in counts)
         n = len(counts)
         basis = _as_readonly(self.basis)
         center = _as_readonly(self.center)
@@ -154,7 +160,7 @@ class LatticeGrid:
         half_widths: Sequence[float],
     ) -> LatticeGrid:
         """Axis-aligned grid covering ``center +- half_widths`` per axis."""
-        counts = tuple(int(n) for n in counts)
+        counts = tuple(counts)
         if any(n < 2 for n in counts):
             raise ValueError("spanning grids need at least 2 points per axis")
         half = np.asarray(half_widths, dtype=float)
@@ -203,13 +209,6 @@ class LatticeGrid:
                 f"linear index {linear_index} out of range [0, {self.size})"
             )
         return self.center + self.basis @ _lattice_offsets(self.counts)[linear_index]
-
-    @property
-    def center_index(self) -> int:
-        """Linear index of the center point; requires all counts odd."""
-        if not self.all_counts_odd:
-            raise ValueError("center index requires odd counts on every axis")
-        return (self.size - 1) // 2
 
     def linear_index(self, multi_index: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(multi_index), self.counts))

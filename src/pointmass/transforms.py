@@ -14,7 +14,6 @@ the predictor tests.
 
 from __future__ import annotations
 
-import os
 import threading
 from functools import lru_cache
 
@@ -28,15 +27,6 @@ __all__ = [
     "dst1_1d",
     "dst1_nd",
 ]
-
-
-def fft_workers() -> int:
-    """Worker-thread count for the sine transforms, from ``POINTMASS_THREADS``."""
-    value = os.environ.get("POINTMASS_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 @lru_cache(maxsize=64)
@@ -155,10 +145,10 @@ def dst1_1d(values: NDArray) -> NDArray[np.float64]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"expected a vector, got shape {values.shape}")
-    return scipy.fft.dst(values, type=1, workers=fft_workers()) / 2.0
+    return scipy.fft.dst(values, type=1) / 2.0
 
 
 def dst1_nd(tensor: NDArray) -> NDArray[np.float64]:
     """Separable type-I sine transform along every axis."""
     tensor = np.asarray(tensor, dtype=float)
-    return scipy.fft.dstn(tensor, type=1, workers=fft_workers()) / (2.0**tensor.ndim)
+    return scipy.fft.dstn(tensor, type=1) / (2.0**tensor.ndim)

@@ -191,6 +191,28 @@ def test_predict_cli_non_finite_noise_scales_exit_code(tmp_path, capsys):
     assert "scales" in capsys.readouterr().err
 
 
+def test_predict_cli_fractional_counts_exit_code(tmp_path, capsys):
+    data = dd_scenario_dict((21,), predictor="standard")
+    data["grid"]["counts"] = [5.5]
+    assert main(["predict", write_scenario(tmp_path, data)]) == 2
+    assert "counts must be positive integers" in capsys.readouterr().err
+
+
+def test_predict_cli_counts_not_a_list_exit_code(tmp_path, capsys):
+    data = dd_scenario_dict((21,))
+    data["grid"]["counts"] = 5
+    assert main(["predict", write_scenario(tmp_path, data)]) == 2
+    assert "'grid.counts'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coverage", [[3.0], "3.0", 0.0, float("inf")])
+def test_predict_cli_bad_inflation_coverage_exit_code(coverage, tmp_path, capsys):
+    data = dd_scenario_dict((21,), predictor="efficient")
+    data["inflation_coverage"] = coverage
+    assert main(["predict", write_scenario(tmp_path, data)]) == 2
+    assert "'inflation_coverage'" in capsys.readouterr().err
+
+
 # -- bench --------------------------------------------------------------------------
 
 

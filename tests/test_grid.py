@@ -32,6 +32,23 @@ def test_point_at_out_of_range():
         g.point(-1)
 
 
+@pytest.mark.parametrize("counts", [[20.7], [5.5, 7], [0], [float("nan")], [float("inf")]])
+def test_grid_rejects_non_integral_counts(counts):
+    # a fractional count is rejected, not truncated to fewer points
+    steps, center = [0.5] * len(counts), [0.0] * len(counts)
+    with pytest.raises(ValueError, match="counts must be positive integers"):
+        LatticeGrid.axis_aligned(counts, steps, center)
+    with pytest.raises(ValueError):
+        LatticeGrid.spanning(counts, center, [1.0] * len(counts))
+
+
+def test_grid_accepts_integral_counts():
+    for counts in ([21], [21.0], [np.int64(21)]):
+        grid = LatticeGrid.axis_aligned(counts, [0.5], [0.0])
+        assert grid.counts == (21,) and type(grid.counts[0]) is int
+    assert LatticeGrid.spanning([21.0], [0.0], [1.0]).counts == (21,)
+
+
 def test_index_round_trip_2d():
     g = LatticeGrid.axis_aligned((3, 3), (1.0, 1.0), (0.0, 0.0))
     for lin in range(9):

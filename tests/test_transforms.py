@@ -10,7 +10,6 @@ from pointmass.transforms import (
     convolve_fft_nd,
     dst1_1d,
     dst1_nd,
-    fft_workers,
 )
 
 
@@ -218,19 +217,6 @@ def test_dstn_double_application_scaling():
     t = rng.normal(0, 1, (5, 3, 9))
     scale = np.prod([2.0 / (n + 1) for n in t.shape])
     np.testing.assert_allclose(dst1_nd(dst1_nd(t)) * scale, t, atol=1e-12)
-
-
-def test_worker_env_override(monkeypatch):
-    monkeypatch.delenv("POINTMASS_THREADS", raising=False)
-    assert fft_workers() == 1
-    monkeypatch.setenv("POINTMASS_THREADS", "2")
-    assert fft_workers() == 2
-    rng = np.random.default_rng(9)
-    t = rng.normal(0, 1, (9, 7))
-    two_workers = dst1_nd(t)
-    monkeypatch.setenv("POINTMASS_THREADS", "not-a-number")
-    assert fft_workers() == 1
-    np.testing.assert_allclose(dst1_nd(t), two_workers, rtol=1e-15)
 
 
 # -- scaling ------------------------------------------------------------------------
