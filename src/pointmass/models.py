@@ -63,16 +63,24 @@ def matrix_exponential(a: NDArray, t: float = 1.0) -> NDArray[np.float64]:
 def _quadratic_form(pts: NDArray, whitener: NDArray) -> NDArray:
     """``|whitener @ p|^2`` per row of ``pts``, accumulated axis by axis.
 
-    Accumulation order is fixed by explicit loops so results are
-    bit-identical regardless of the caller's array shape.
+    Accumulation order is fixed by explicit loops, so results are
+    bit-identical regardless of the caller's array shape.  The points are
+    read as contiguous coordinate columns, and whitener entries that are
+    exactly zero are skipped: the whitener ``inv(cholesky)`` is lower
+    triangular, and diagonal for independent noise.  A skipped term can
+    only flip the sign of a zero in ``z``, which squaring removes, so for
+    finite input the result equals the sum over every entry bit for bit.
     """
-    n = whitener.shape[0]
-    q = np.zeros(pts.shape[0])
-    for i in range(n):
-        z = whitener[i, 0] * pts[:, 0]
-        for j in range(1, n):
-            z += whitener[i, j] * pts[:, j]
-        q += z * z
+    cols = np.ascontiguousarray(pts.T)  # strided columns would reread every row
+    q = np.zeros(cols.shape[1])
+    z = np.empty_like(q)
+    for row in whitener.tolist():
+        (w, col), *rest = [(w, col) for w, col in zip(row, cols) if w != 0.0]
+        np.multiply(col, w, out=z)
+        for w, col in rest:
+            z += w * col
+        z *= z
+        q += z
     return q
 
 
@@ -120,8 +128,10 @@ class GaussianDensity:
         if self.mean.any():
             flat = flat - self.mean
         q = _quadratic_form(flat, self.whitener)
-        out = np.exp(-0.5 * q + self.log_norm)
-        return out.reshape(lead_shape)
+        # in place: each fresh array of this size faults its pages in anew
+        q *= -0.5
+        q += self.log_norm
+        return np.exp(q, out=q).reshape(lead_shape)
 
 
 class LaplaceDensity:

@@ -14,6 +14,7 @@ the predictor tests.
 
 from __future__ import annotations
 
+import math
 import threading
 from functools import lru_cache
 
@@ -86,56 +87,106 @@ def convolve_direct_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
 _workspace = threading.local()
 
 
-def _buffers(counts: tuple[int, ...], shape: tuple[int, ...]) -> tuple[NDArray, ...]:
-    """Input pair, its spectra and the inverse output for one kernel
-    shape, kept per thread and reused while the shape repeats.
+class _Plan:
+    """Stage arrays of the pruned convolution for one kernel shape.
 
-    A run convolves one shape every step; fresh buffers of that size
-    cost a page fault per 4 KiB on every call once the allocator has
-    handed them back to the system.  The inputs are zero padded on every
-    axis but the last, and only their embedded window is ever written,
-    so the padding stays zero.  The last shape's buffers stay allocated,
-    about four padded-size float arrays.
+    The stages follow numpy's ``rfftn``/``irfftn`` axis order, so every
+    lane gets the same 1-D transform as on the full padded buffer.
+    Forward: ``rfft`` of the last axis of the unpadded pair, then ``fft``
+    along axes ``n-2 ... 0``; each stage pads its own axis, so lanes of
+    pure padding are never formed.  Inverse: ``ifft`` along axes
+    ``0 ... n-2``, each reading only the crop of the axes before it, then
+    ``irfft`` of the last axis.  Stage ``k`` writes into flat buffer
+    ``k % 2`` (the pair sits in the real view of buffer 1), so each
+    stage reads one buffer and writes the other, and a stage array is a
+    reshaped prefix of its buffer.
     """
-    cached = getattr(_workspace, "buffers", None)
-    if cached is None or cached[0] != counts:
-        cached = (
-            counts,
-            np.zeros((2, *shape[:-1], counts[-1])),
-            np.empty((2, *shape[:-1], shape[-1] // 2 + 1), dtype=complex),
-            np.empty(shape),
-        )
-        _workspace.buffers = cached
-    return cached[1:]
+
+    def __init__(self, counts: tuple[int, ...]):
+        ndim = len(counts)
+        lengths = [_padded_length(n) for n in counts]
+        crops = [slice((n - 1) // 2, (n - 1) // 2 + n) for n in counts]
+        # (transform, transform length, axis, output shape) per stage
+        shape = [2, *counts[:-1], lengths[-1] // 2 + 1]
+        forward = [(np.fft.rfft, lengths[-1], ndim, tuple(shape))]
+        for axis in range(ndim - 2, -1, -1):
+            shape[axis + 1] = lengths[axis]
+            forward.append((np.fft.fft, lengths[axis], axis + 1, tuple(shape)))
+        shape = shape[1:]  # the product of the two spectra
+        inverse = []
+        for axis in range(ndim - 1):
+            inverse.append((np.fft.ifft, lengths[axis], axis, tuple(shape)))
+            shape[axis] = counts[axis]
+        shape[-1] = lengths[-1]
+        inverse.append((np.fft.irfft, lengths[-1], ndim - 1, tuple(shape)))
+
+        # floats per stage output (only the last one is real), then per buffer
+        floats = [2 * math.prod(out) for *_, out in forward + inverse[:-1]]
+        floats.append(math.prod(shape))
+        sizes = (max(floats[0::2]), max(floats[1::2] + [2 * math.prod(counts)]))
+        buffers = [np.empty((size + 1) // 2, dtype=complex) for size in sizes]
+
+        def view(k: int, shape: tuple[int, ...], real: bool) -> NDArray:
+            flat = buffers[k % 2].view(float) if real else buffers[k % 2]
+            return flat[: math.prod(shape)].reshape(shape)
+
+        self.counts = counts
+        self.flip = (slice(None, None, -1),) * ndim
+        self.pair = view(1, (2, *counts), True)
+        source = self.pair
+        self.forward = []
+        for k, (transform, length, axis, out_shape) in enumerate(forward):
+            out = view(k, out_shape, False)
+            self.forward.append((transform, source, length, axis, out))
+            source = out
+        self.product, self.factor = source[0], source[1]
+        source = self.product
+        self.inverse = []
+        for k, (transform, length, axis, out_shape) in enumerate(inverse, len(forward)):
+            out = view(k, out_shape, transform is np.fft.irfft)
+            self.inverse.append((transform, source, length, axis, out))
+            source = out[(slice(None),) * axis + (crops[axis],)]
+        self.result = source
+
+
+def _plan(counts: tuple[int, ...]) -> _Plan:
+    """The calling thread's plan for ``counts``, rebuilt when they change.
+
+    A run convolves one shape every step; fresh stage arrays of that size
+    cost a page fault per 4 KiB on every call once the allocator has
+    handed them back to the system.  The last shape's two buffers stay
+    allocated, about three padded-size float arrays in all.
+    """
+    plan = getattr(_workspace, "plan", None)
+    if plan is None or plan.counts != counts:
+        plan = _Plan(counts)
+        _workspace.plan = plan
+    return plan
 
 
 def convolve_fft_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     """FFT realization of :func:`convolve_direct_nd`.
 
     Both inputs are zero padded per axis to a fast even length at or
-    above ``2 * N_i - 1`` (full linear convolution), transformed in one
-    real FFT call, multiplied, inverted, and cropped to the centered
-    window.  The buffers and spectra are reused across calls of one
-    shape; the result is a fresh array.
+    above ``2 * N_i - 1`` (full linear convolution), transformed,
+    multiplied, inverted, and cropped to the centered window.  The
+    transforms are pruned: the forward stages transform only the lanes
+    that hold data and the inverse stages invert only the lanes inside
+    the crop, each lane exactly as ``numpy.fft.rfftn``/``irfftn`` would,
+    so the result equals the full-buffer computation bit for bit.  The
+    stage arrays are reused across calls of one shape; the result is a
+    fresh array.
     """
     kernel, signal = _check_pair(kernel, signal)
-    counts = kernel.shape
-    ndim = len(counts)
-    mid = tuple((n - 1) // 2 for n in counts)
-    shape = tuple(_padded_length(n) for n in counts)
-
-    buf, spectra, full = _buffers(counts, shape)
-    embed = tuple(slice(0, n) for n in counts)
-    buf[(0, *embed)] = kernel[tuple(slice(None, None, -1) for _ in counts)]
-    buf[(1, *embed)] = signal
-    # The transform pads the last axis itself, one row at a time; on a
-    # pre-padded pair numpy transforms both rows together through
-    # scratch of several padded sizes per call (about 4 MB at N = 65537).
-    np.fft.rfftn(buf, s=shape, axes=tuple(range(1, ndim + 1)), out=spectra)
-    product = spectra[0]
-    product *= spectra[1]
-    np.fft.irfftn(product, s=shape, axes=tuple(range(ndim)), out=full)
-    return full[tuple(slice(m, m + n) for m, n in zip(mid, counts))].copy()
+    plan = _plan(kernel.shape)
+    plan.pair[0] = kernel[plan.flip]
+    plan.pair[1] = signal
+    for transform, source, length, axis, out in plan.forward:
+        transform(source, length, axis, out=out)
+    np.multiply(plan.product, plan.factor, out=plan.product)
+    for transform, source, length, axis, out in plan.inverse:
+        transform(source, length, axis, out=out)
+    return plan.result.copy()
 
 
 def dst1_1d(values: NDArray) -> NDArray[np.float64]:

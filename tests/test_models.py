@@ -12,6 +12,7 @@ from pointmass import (
     LaplaceDensity,
     matrix_exponential,
 )
+from pointmass.models import _quadratic_form
 
 
 def test_expm_zero_is_identity():
@@ -85,6 +86,66 @@ def test_gaussian_density_full_covariance_matches_scipy():
     pts = np.random.default_rng(8).normal(0, 2, (50, 2))
     ref = scipy.stats.multivariate_normal(mean=mean, cov=cov).pdf(pts)
     np.testing.assert_allclose(g(pts), ref, rtol=1e-12)
+
+
+def quadratic_form_loop(pts, whitener):
+    """``|whitener @ p|^2`` per row, summing every whitener entry in order."""
+    n = whitener.shape[0]
+    q = np.zeros(pts.shape[0])
+    for i in range(n):
+        z = whitener[i, 0] * pts[:, 0]
+        for j in range(1, n):
+            z += whitener[i, j] * pts[:, j]
+        q += z * z
+    return q
+
+
+def whitener_pattern(pattern, dim, rng):
+    w = rng.normal(0, 1, (dim, dim)) + 3.0 * np.eye(dim)
+    if pattern == "diagonal":
+        return np.diag(np.diag(w))
+    if pattern == "lower":
+        return np.tril(w)
+    w[(rng.random((dim, dim)) < 0.4) & ~np.eye(dim, dtype=bool)] = 0.0
+    return w  # dense with zeros; a whitener is nonsingular, so no row is all zero
+
+
+def signed_zero_points(shape, rng):
+    """Normal points with exact zeros of both signs, so that skipped
+    terms meet partial sums that are themselves zero."""
+    pts = rng.normal(0, 2, shape)
+    pts[rng.random(shape) < 0.2] = 0.0
+    pts[rng.random(shape) < 0.2] = -0.0
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pattern", ["diagonal", "lower", "dense_with_zeros"])
+def test_quadratic_form_bit_equal_to_full_loop(pattern, dim):
+    rng = np.random.default_rng(10 * dim + len(pattern))
+    w = whitener_pattern(pattern, dim, rng)
+    pts = signed_zero_points((301, dim), rng)
+    np.testing.assert_array_equal(_quadratic_form(pts, w), quadratic_form_loop(pts, w))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pattern", ["diagonal", "dense", "block_diagonal"])
+def test_gaussian_density_bit_equal_to_full_loop(pattern, dim):
+    # diagonal, full lower-triangular and lower-triangular-with-zeros
+    # whiteners, with a nonzero mean and leading batch dimensions
+    rng = np.random.default_rng(20 * dim + len(pattern))
+    a = rng.normal(0, 1, (dim, dim))
+    cov = a @ a.T + dim * np.eye(dim)
+    if pattern == "diagonal":
+        cov = np.diag(np.diag(cov))
+    elif pattern == "block_diagonal":
+        cov[: dim // 2, dim // 2 :] = cov[dim // 2 :, : dim // 2] = 0.0
+    mean = rng.normal(0, 1, dim)
+    g = GaussianDensity(cov, mean=mean)
+    pts = signed_zero_points((4, 3, 7, dim), rng)
+    q = quadratic_form_loop(pts.reshape(-1, dim) - mean, g.whitener)
+    expected = np.exp(-0.5 * q + g.log_norm).reshape(4, 3, 7)
+    np.testing.assert_array_equal(g(pts), expected)
 
 
 def test_gaussian_density_integrates_to_one():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmass.transforms import (
+    _padded_length,
     convolve_direct_nd,
     convolve_fft_nd,
     dst1_1d,
@@ -30,6 +31,15 @@ def conv_oracle(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
                 acc += kernel[idx] * signal[e]
         out[d] = acc
     return out
+
+
+def full_buffer_convolution(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """The unpruned convolution: pad, transform the whole buffer, multiply,
+    invert the whole buffer, crop."""
+    shape, axes = [_padded_length(n) for n in kernel.shape], range(kernel.ndim)
+    spectra = [np.fft.rfftn(x, s=shape, axes=axes) for x in (np.flip(kernel), signal)]
+    full = np.fft.irfftn(spectra[0] * spectra[1], s=shape, axes=axes)
+    return full[tuple(slice((n - 1) // 2, (n - 1) // 2 + n) for n in kernel.shape)]
 
 
 def delta_kernel(counts):
@@ -81,16 +91,49 @@ def test_fft_matches_direct(counts):
     assert rel_max(fft, direct) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(257,), (4097,), (65537,), (1, 9), (13, 15), (9, 7, 5), (3, 5, 7, 9), (9,) * 5],
+)
+def test_fft_bit_equal_to_full_buffer_convolution(counts):
+    # pruning skips lanes of pure padding and lanes outside the crop; every
+    # lane it keeps is transformed as on the full buffer
+    rng = np.random.default_rng(len(counts))
+    k = rng.random(counts)
+    s = rng.random(counts)
+    np.testing.assert_array_equal(convolve_fft_nd(k, s), full_buffer_convolution(k, s))
+
+
 def test_fft_reused_buffers_keep_results_independent():
-    # counts 15 and 13 pad to the same length; a narrower call after a
-    # wider one must still see zero padding, and a result must survive
-    # the next call of its shape
+    # counts 15 and 13 pad to the same length, and the calls alternate
+    # dimension (5-D -> 2-D -> 1-D -> 5-D); each call must see only its own
+    # inputs, and a result must survive the next calls
     rng = np.random.default_rng(3)
-    pairs = [(rng.random(c), rng.random(c)) for c in [(15,), (15,), (13,), (13, 15)]]
+    counts = [(15,), (15,), (13,), (13, 15), (9,) * 5, (13, 15), (13,), (9,) * 5]
+    pairs = [(rng.random(c), rng.random(c)) for c in counts]
     results = [convolve_fft_nd(k, s) for k, s in pairs]
     for (k, s), out in zip(pairs, results):
+        np.testing.assert_array_equal(out, full_buffer_convolution(k, s))
+    for (k, s), out in zip(pairs[:4], results[:4]):  # the direct sum takes seconds in 5-D
         assert rel_max(out, convolve_direct_nd(k, s)) < 1e-12
     np.testing.assert_array_equal(results[0], convolve_fft_nd(*pairs[0]))
+
+
+def test_fft_warm_call_allocates_little_beyond_its_result():
+    # the stage arrays are reused; a warm 9^5 call allocates its 0.45 MB
+    # result, not padded-size (16.8 MB complex) temporaries
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    k, s = rng.random((9,) * 5), rng.random((9,) * 5)
+    convolve_fft_nd(k, s)
+    tracemalloc.start()
+    try:
+        convolve_fft_nd(k, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_fft_reused_buffers_are_per_thread():
