@@ -1,5 +1,7 @@
 """N-dimensional convolution and the type-I discrete sine transform.
 
+Both run on ``numpy.fft`` (pocketfft), the package's one FFT backend.
+
 Tensors are plain numpy arrays whose C-order flattening matches the grid
 module's linearization, so reshaping between the linear weight vector
 and the physical tensor never copies.
@@ -19,7 +21,6 @@ import threading
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 from numpy.typing import NDArray
 
 __all__ = [
@@ -28,6 +29,20 @@ __all__ = [
     "dst1_1d",
     "dst1_nd",
 ]
+
+
+def _next_smooth(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= n``, the lengths pocketfft's real
+    transforms factor fully."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @lru_cache(maxsize=64)
@@ -39,9 +54,9 @@ def _padded_length(count: int) -> int:
     """
     target = 2 * count - 1
     pow2 = 1 << (target - 1).bit_length()
-    length = scipy.fft.next_fast_len(target, real=True)
+    length = _next_smooth(target)
     while length % 2 == 1 and length < pow2:
-        length = scipy.fft.next_fast_len(length + 1, real=True)
+        length = _next_smooth(length + 1)
     return min(length, pow2)
 
 
@@ -87,7 +102,7 @@ def convolve_direct_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
 _workspace = threading.local()
 
 
-class _Plan:
+class _ConvolutionPlan:
     """Stage arrays of the pruned convolution for one kernel shape.
 
     The stages follow numpy's ``rfftn``/``irfftn`` axis order, so every
@@ -149,18 +164,20 @@ class _Plan:
         self.result = source
 
 
-def _plan(counts: tuple[int, ...]) -> _Plan:
-    """The calling thread's plan for ``counts``, rebuilt when they change.
+def _plan(kind: type, counts: tuple[int, ...]):
+    """The calling thread's plan of class ``kind`` for ``counts``, rebuilt
+    when they change.
 
-    A run convolves one shape every step; fresh stage arrays of that size
-    cost a page fault per 4 KiB on every call once the allocator has
-    handed them back to the system.  The last shape's two buffers stay
-    allocated, about three padded-size float arrays in all.
+    A run transforms one shape every step; fresh stage arrays of that
+    size cost a page fault per 4 KiB on every call once the allocator has
+    handed them back to the system.  Each kind keeps the last shape's
+    buffers allocated: about three padded-size float arrays for the
+    convolution, about four tensor-size ones for the sine transform.
     """
-    plan = getattr(_workspace, "plan", None)
+    plan = getattr(_workspace, kind.__name__, None)
     if plan is None or plan.counts != counts:
-        plan = _Plan(counts)
-        _workspace.plan = plan
+        plan = kind(counts)
+        setattr(_workspace, kind.__name__, plan)
     return plan
 
 
@@ -178,7 +195,7 @@ def convolve_fft_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     fresh array.
     """
     kernel, signal = _check_pair(kernel, signal)
-    plan = _plan(kernel.shape)
+    plan = _plan(_ConvolutionPlan, kernel.shape)
     plan.pair[0] = kernel[plan.flip]
     plan.pair[1] = signal
     for transform, source, length, axis, out in plan.forward:
@@ -189,6 +206,45 @@ def convolve_fft_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     return plan.result.copy()
 
 
+class _SinePlan:
+    """Stage arrays of the separable type-I sine transform for one shape.
+
+    Stage ``k`` transforms axis ``k``, in scipy's ``dstn`` order
+    ``0 ... n-1``, which fixes the rounding.  It writes the odd extension
+    ``[0, x, 0, -x[::-1]]`` of every lane along that axis into the real
+    buffer and takes its ``rfft`` of length ``2 (N_k + 1)`` into the
+    complex buffer; the lane's transform is ``-imag[1 : N_k + 1]``, which
+    the next stage reads as its input.  This is how pocketfft computes a
+    DST-I itself, so the floats equal ``scipy.fft.dstn(type=1)``.  Every
+    stage array is a reshaped prefix of one of the two buffers; as the
+    stages share them, each call writes the extension's zeros again.
+    """
+
+    def __init__(self, counts: tuple[int, ...]):
+        size = math.prod(counts)
+        extensions = np.empty(max(size // n * 2 * (n + 1) for n in counts))
+        spectra = np.empty(max(size // n * (n + 2) for n in counts), dtype=complex)
+        self.counts = counts
+        self.scale = -1.0 / 2.0 ** len(counts)
+        self.stages = []
+        for axis, n in enumerate(counts):
+            lanes = (slice(None),) * axis
+            shape = (*counts[:axis], 2 * (n + 1), *counts[axis + 1 :])
+            extension = extensions[: math.prod(shape)].reshape(shape)
+            shape = (*counts[:axis], n + 2, *counts[axis + 1 :])
+            spectrum = spectra[: math.prod(shape)].reshape(shape)
+            self.stages.append((
+                extension[lanes + (slice(0, None, n + 1),)],  # entries 0 and n + 1
+                extension[lanes + (slice(1, n + 1),)],
+                extension[lanes + (slice(n + 2, None),)],
+                lanes + (slice(None, None, -1),),
+                extension,
+                axis,
+                spectrum,
+                spectrum.imag[lanes + (slice(1, n + 1),)],
+            ))
+
+
 def dst1_1d(values: NDArray) -> NDArray[np.float64]:
     """Type-I discrete sine transform, ``out[i] = sum_k v[k] sin(ik pi / (N+1))``
     with 1-based ``i, k``.  Self inverse up to the factor ``2 / (N + 1)``.
@@ -196,10 +252,27 @@ def dst1_1d(values: NDArray) -> NDArray[np.float64]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"expected a vector, got shape {values.shape}")
-    return scipy.fft.dst(values, type=1) / 2.0
+    return dst1_nd(values)
 
 
 def dst1_nd(tensor: NDArray) -> NDArray[np.float64]:
-    """Separable type-I sine transform along every axis."""
+    """Separable type-I sine transform along every axis.
+
+    Equals ``scipy.fft.dstn(tensor, type=1) / 2**ndim`` bit for bit: the
+    axes are transformed in the order ``0 ... n-1`` through the odd
+    extension's ``numpy.fft.rfft`` (see :class:`_SinePlan`).  The stage
+    arrays are reused across calls of one shape; the result is a fresh
+    array.
+    """
     tensor = np.asarray(tensor, dtype=float)
-    return scipy.fft.dstn(tensor, type=1) / (2.0**tensor.ndim)
+    if tensor.ndim == 0 or 0 in tensor.shape:
+        raise ValueError(f"expected at least one entry per axis, got shape {tensor.shape}")
+    plan = _plan(_SinePlan, tensor.shape)
+    source, sign = tensor, 1.0
+    for zeros, data, mirror, reverse, extension, axis, spectrum, imag in plan.stages:
+        zeros.fill(0.0)
+        np.multiply(source, sign, out=data)  # exact: the sign is +-1
+        np.multiply(source[reverse], -sign, out=mirror)
+        np.fft.rfft(extension, extension.shape[axis], axis, out=spectrum)
+        source, sign = imag, -1.0
+    return np.multiply(source, plan.scale)  # -imag / 2**ndim, one rounding

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,21 +140,18 @@ def test_fft_warm_call_allocates_little_beyond_its_result():
     assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
-def test_fft_reused_buffers_are_per_thread():
-    # the transforms release the interpreter lock, so threads convolving
-    # the same shape at once must not share buffers
-    import sys
+def assert_same_results_across_threads(function, inputs):
+    """Four threads call ``function`` on ``inputs`` in staggered order, at a
+    short switch interval; every call must return what a lone call did."""
     import threading
 
-    rng = np.random.default_rng(4)
-    pairs = [(rng.random(4097), rng.random(4097)) for _ in range(6)]
-    expected = [convolve_fft_nd(k, s) for k, s in pairs]
+    expected = [function(*args) for args in inputs]
     mismatches = []
 
     def work(offset):
         for r in range(20):
-            i = (offset + r) % len(pairs)
-            if not np.array_equal(convolve_fft_nd(*pairs[i]), expected[i]):
+            i = (offset + r) % len(inputs)
+            if not np.array_equal(function(*inputs[i]), expected[i]):
                 mismatches.append(i)
 
     interval = sys.getswitchinterval()
@@ -165,6 +166,14 @@ def test_fft_reused_buffers_are_per_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+def test_fft_reused_buffers_are_per_thread():
+    # the transforms release the interpreter lock, so threads convolving
+    # the same shape at once must not share buffers
+    rng = np.random.default_rng(4)
+    pairs = [(rng.random(4097), rng.random(4097)) for _ in range(6)]
+    assert_same_results_across_threads(convolve_fft_nd, pairs)
 
 
 def test_fft_matches_oracle_constant_inputs():
@@ -260,6 +269,96 @@ def test_dstn_double_application_scaling():
     t = rng.normal(0, 1, (5, 3, 9))
     scale = np.prod([2.0 / (n + 1) for n in t.shape])
     np.testing.assert_allclose(dst1_nd(dst1_nd(t)) * scale, t, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+def test_dst1_rejects_tensors_without_entries(shape):
+    with pytest.raises(ValueError):
+        dst1_nd(np.zeros(shape))
+
+
+def test_dst1_reused_buffers_are_per_thread():
+    rng = np.random.default_rng(10)
+    tensors = [(rng.normal(size=(129, 129)),) for _ in range(6)]
+    assert_same_results_across_threads(dst1_nd, tensors)
+
+
+# -- agreement with scipy (test-only import) ------------------------------------------
+# numpy.fft and scipy.fft both run pocketfft; the sine transform takes the
+# same odd-extension real FFT per lane and the same axis order as
+# scipy.fft.dstn, so the floats are equal, not just close.  A numpy or scipy
+# release that changes either library's FFT shows up here.
+
+
+def scipy_dstn(tensor: np.ndarray) -> np.ndarray:
+    return scipy.fft.dstn(tensor, type=1) / 2.0**tensor.ndim
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e300, 1e-300])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, 7, 8, 16, 31, 64, 101, 128, 129, 257, 1009, 4097, 65537]
+)
+def test_dst1_1d_bit_equal_to_scipy(n, magnitude):
+    v = np.random.default_rng(n).normal(0, 1, n) * magnitude
+    np.testing.assert_array_equal(dst1_1d(v), scipy.fft.dst(v, type=1) / 2.0)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (3, 5), (64, 33), (129, 129), (1, 7, 1), (5, 3, 7), (33, 17, 9),
+     (2, 3, 4, 5), (9, 9, 9, 9)],
+)
+def test_dst1_nd_bit_equal_to_scipy(shape):
+    t = np.random.default_rng(len(shape)).normal(0, 1, shape)
+    np.testing.assert_array_equal(dst1_nd(t), scipy_dstn(t))
+    np.testing.assert_array_equal(dst1_nd(t * 1e-300), scipy_dstn(t * 1e-300))
+
+
+def test_dst1_reused_buffers_keep_results_independent():
+    # successive calls change shape and dimension; each call must see only
+    # its own input, and a result must survive the next calls
+    rng = np.random.default_rng(11)
+    shapes = [(129, 129), (65, 33), (65, 33), (7,), (5, 3, 7), (129, 129), (33, 65)]
+    tensors = [rng.normal(0, 1, s) for s in shapes]
+    results = [dst1_nd(t) for t in tensors]
+    for t, out in zip(tensors, results):
+        np.testing.assert_array_equal(out, scipy_dstn(t))
+
+
+def scipy_padded_length(count: int) -> int:
+    """The padded-length rule as written with ``scipy.fft.next_fast_len``."""
+    target = 2 * count - 1
+    pow2 = 1 << (target - 1).bit_length()
+    length = scipy.fft.next_fast_len(target, real=True)
+    while length % 2 == 1 and length < pow2:
+        length = scipy.fft.next_fast_len(length + 1, real=True)
+    return min(length, pow2)
+
+
+def test_padded_length_matches_scipy_rule():
+    mismatches = [n for n in range(1, 4097) if _padded_length(n) != scipy_padded_length(n)]
+    assert mismatches == []
+
+
+# -- runtime dependencies ---------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests
+    import pointmass
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pointmass.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, pointmass, pointmass.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- scaling ------------------------------------------------------------------------
