@@ -20,8 +20,9 @@ with its noise density, the initial density and the predictor functions.
 Those constructors validate the values; the parser checks only what no
 library object knows (field names, which fields each kind requires or
 forbids, shapes against the grid dimension, positive grid steps, a
-nonnegative step count, odd counts for the efficient predictor and the
-``inflation_coverage`` rules).  ``predict`` and ``compare`` step the
+nonnegative step count, odd counts for the discrete efficient predictor
+(the continuous one takes any count) and the ``inflation_coverage``
+rules).  ``predict`` and ``compare`` step the
 densities through :func:`pointmass.propagate`.
 """
 
@@ -32,8 +33,6 @@ import csv
 import functools
 import io
 import json
-import math
-import numbers
 import os
 import statistics
 import sys
@@ -44,7 +43,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from . import predict_cd, predict_dd
+from . import _validate, predict_cd, predict_dd
 from .grid import LatticeGrid, PointMassDensity, save_pmd
 from .models import (
     ContinuousDynamicsModel,
@@ -160,17 +159,10 @@ class Scenario:
         grid = LatticeGrid.axis_aligned(
             counts, grid_steps, _array(grid_data.get("center"), (n,), "grid.center")
         )
-        if predictor != "standard" and not grid.all_counts_odd:
-            raise ValueError(
-                "the efficient predictor requires odd per-axis counts, "
-                f"got {list(grid.counts)}"
-            )
+        if kind == "dd" and predictor != "standard":
+            _validate.odd_counts(grid.counts, "the discrete efficient predictor")
         steps = data.get("steps", 0)
-        if not (
-            isinstance(steps, numbers.Real)
-            and steps >= 0
-            and float(steps).is_integer()
-        ):
+        if not _validate.is_count(steps, 0):
             raise ValueError("steps must be a nonnegative integer")
 
         model: DiscreteDynamicsModel | ContinuousDynamicsModel
@@ -199,7 +191,7 @@ class Scenario:
                     "inflation_coverage applies only to dd scenarios with "
                     "predictor 'efficient'"
                 )
-            if not (isinstance(coverage, numbers.Real) and 0 < coverage < math.inf):
+            if not _validate.is_positive_finite(coverage):
                 raise ValueError(
                     "scenario field 'inflation_coverage' must be a positive "
                     "finite number"

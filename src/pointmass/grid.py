@@ -23,13 +23,14 @@ same buffer.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, IO, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+
+from . import _validate
 
 __all__ = [
     "LatticeGrid",
@@ -85,6 +86,13 @@ def _lattice_offsets(counts: tuple[int, ...]) -> NDArray[np.float64]:
     return _frozen(np.stack([m.reshape(-1) for m in mesh], axis=-1))
 
 
+def _checked_volume(basis: NDArray, center: NDArray) -> float:
+    """Cell volume ``|det basis|`` of finite geometry with a nonsingular basis."""
+    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
+        raise ValueError("basis and center must be finite")
+    return _validate.nonsingular(basis, "basis matrix")
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeGrid:
     """Affine lattice of ``prod(counts)`` points: center plus basis matrix.
@@ -97,19 +105,18 @@ class LatticeGrid:
         ``(n, n)`` nonsingular matrix; column i is the step along axis i.
     center:
         ``(n,)`` center of the lattice.
+
+    ``cell_volume`` is the volume of one lattice cell, ``|det basis|``.
     """
 
     counts: tuple[int, ...]
     basis: NDArray[np.float64]
     center: NDArray[np.float64]
+    cell_volume: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = tuple(self.counts)
-        # integral floats such as 21.0 are accepted; 20.7 is not truncated
-        if not counts or not all(
-            isinstance(n, numbers.Real) and n >= 1 and float(n).is_integer()
-            for n in counts
-        ):
+        if not counts or not all(_validate.is_count(n) for n in counts):
             raise ValueError(f"counts must be positive integers, got {counts}")
         counts = tuple(int(n) for n in counts)
         n = len(counts)
@@ -119,27 +126,11 @@ class LatticeGrid:
             raise ValueError(f"basis must be ({n}, {n}), got {basis.shape}")
         if center.shape != (n,):
             raise ValueError(f"center must be ({n},), got {center.shape}")
-        if not (np.isfinite(basis).all() and np.isfinite(center).all()):
-            raise ValueError("basis and center must be finite")
-        if abs(np.linalg.det(basis)) == 0.0:
-            raise ValueError("basis matrix is singular")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "center", center)
-
-    @classmethod
-    def _trusted(
-        cls, counts: tuple[int, ...], basis: NDArray, center: NDArray
-    ) -> LatticeGrid:
-        """Grid from parts the library has already made valid: a tuple of
-        positive counts and freshly computed finite float arrays of the
-        right shapes with a nonsingular basis.  The arrays are marked
-        read-only in place; nothing is copied or scanned."""
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "counts", counts)
-        object.__setattr__(grid, "basis", _frozen(basis))
-        object.__setattr__(grid, "center", _frozen(center))
-        return grid
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(
+            counts=counts, basis=basis, center=center,
+            cell_volume=_checked_volume(basis, center),
+        )
 
     @classmethod
     def axis_aligned(
@@ -179,11 +170,6 @@ class LatticeGrid:
         return math.prod(self.counts)
 
     @cached_property
-    def cell_volume(self) -> float:
-        """Volume of one lattice cell, ``|det basis|``."""
-        return float(abs(np.linalg.det(self.basis)))
-
-    @cached_property
     def step_lengths(self) -> NDArray[np.float64]:
         """Euclidean length of each basis column (read-only)."""
         return _as_readonly(np.linalg.norm(self.basis, axis=0))
@@ -192,10 +178,6 @@ class LatticeGrid:
     def mid(self) -> NDArray[np.float64]:
         """Center multi-index ``(N_i - 1) / 2`` per axis (fractional if even)."""
         return _as_readonly((np.asarray(self.counts) - 1) / 2.0)
-
-    @property
-    def all_counts_odd(self) -> bool:
-        return all(n % 2 == 1 for n in self.counts)
 
     @cached_property
     def points(self) -> NDArray[np.float64]:
@@ -232,10 +214,9 @@ class LatticeGrid:
         lattice coordinates through the basis before reading off the
         per-axis standard deviations.
         """
-        if not self.all_counts_odd:
-            raise ValueError("grid inflation requires odd counts on every axis")
-        if coverage <= 0:
-            raise ValueError(f"coverage must be positive, got {coverage}")
+        _validate.odd_counts(self.counts, "grid inflation")
+        if not _validate.is_positive_finite(coverage):
+            raise ValueError(f"coverage must be positive and finite, got {coverage}")
         cov = np.asarray(noise_cov, dtype=float)
         if cov.shape != (self.dim, self.dim):
             raise ValueError(f"noise covariance must be {(self.dim, self.dim)}")
@@ -268,12 +249,12 @@ def _derived_grid(
     """Grid whose fresh basis and center arrays the library computed from a
     valid grid through a nonsingular linear map.  Only overflow or
     underflow of the products can make it invalid, so only that is
-    checked; the arrays are marked read-only in place."""
-    if not (np.isfinite(basis).all() and np.isfinite(center).all()):
-        raise ValueError("basis and center must be finite")
-    grid = LatticeGrid._trusted(counts, basis, center)
-    if grid.cell_volume == 0.0:
-        raise ValueError("basis matrix is singular")
+    checked; the arrays are marked read-only in place, not copied."""
+    grid = object.__new__(LatticeGrid)
+    grid.__dict__.update(
+        cell_volume=_checked_volume(basis, center),
+        counts=counts, basis=_frozen(basis), center=_frozen(center),
+    )
     return grid
 
 
@@ -319,16 +300,7 @@ class PointMassDensity:
         ``density`` receives an ``(N, n)`` array of points and must return
         the ``(N,)`` nonnegative finite density values.
         """
-        values = np.asarray(density(grid.points), dtype=float).reshape(-1)
-        if values.shape != (grid.size,):
-            raise ValueError(
-                f"density returned shape {values.shape}, expected ({grid.size},)"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("density returned non-finite values on the grid")
-        if (values < 0).any():
-            raise ValueError("density returned negative values on the grid")
-        pmd = cls(grid, values)
+        pmd = cls(grid, np.asarray(density(grid.points), dtype=float).reshape(-1))
         return pmd.normalized() if normalized else pmd
 
     @property
@@ -339,7 +311,7 @@ class PointMassDensity:
     @property
     def physical(self) -> NDArray[np.float64]:
         """Weights reshaped to the ``N_1 x ... x N_n`` physical tensor."""
-        return reshape_physical(self.weights, self.grid.counts)
+        return self.weights.reshape(self.grid.counts)
 
     def normalized(self) -> PointMassDensity:
         """Rescale so the total mass is one; idempotent.

@@ -14,13 +14,14 @@ grid inflation uses to size enlarged grids.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
+
+from . import _validate
 
 __all__ = [
     "matrix_exponential",
@@ -40,11 +41,9 @@ def matrix_exponential(a: NDArray, t: float = 1.0) -> NDArray[np.float64]:
     series is evaluated, which leaves the truncation error far below
     double rounding for desk-scale inputs (``norm(a * t) <= 10``).
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all() or not math.isfinite(t):
-        raise ValueError("matrix exponential requires finite input")
+    a = _validate.square_matrix(a, "matrix exponential input")
+    if not math.isfinite(t):
+        raise ValueError("matrix exponential time must be finite")
     m = a * t
     norm = np.linalg.norm(m, 1)
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
@@ -97,10 +96,7 @@ class GaussianDensity:
             cov = cov.reshape(1, 1)
         elif cov.ndim == 1:
             cov = np.diag(cov)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {cov.shape}")
-        if not np.isfinite(cov).all():
-            raise ValueError("covariance must be finite")
+        cov = _validate.square_matrix(cov, "covariance")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         n = cov.shape[0]
@@ -192,13 +188,8 @@ class DiscreteDynamicsModel:
     noise: Callable[[NDArray], NDArray]
 
     def __post_init__(self) -> None:
-        f = np.array(self.F, dtype=float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError(f"F must be square, got shape {f.shape}")
-        if not np.isfinite(f).all():
-            raise ValueError("F must be finite")
-        if abs(np.linalg.det(f)) == 0.0:
-            raise ValueError("F must be nonsingular")
+        f = _validate.square_matrix(self.F, "F").copy()
+        _validate.nonsingular(f, "F")
         f.flags.writeable = False
         object.__setattr__(self, "F", f)
         if not isinstance(self.noise, (GaussianDensity, LaplaceDensity)):
@@ -238,18 +229,11 @@ class ContinuousDynamicsModel:
     substeps: int | None = None
 
     def __post_init__(self) -> None:
-        a = np.array(self.A, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("A must be finite")
+        a = _validate.square_matrix(self.A, "A").copy()
         q = np.array(self.Q, dtype=float)
-        if q.ndim == 1:
-            q = np.diag(q)
+        q = _validate.square_matrix(np.diag(q) if q.ndim == 1 else q, "Q")
         if q.shape != a.shape:
             raise ValueError(f"Q must have shape {a.shape}, got {q.shape}")
-        if not np.isfinite(q).all():
-            raise ValueError("Q must be finite")
         if np.abs(q - np.diag(np.diag(q))).max() > 0.0:
             raise ValueError(
                 "Q must be diagonal: off-diagonal diffusion is not supported"
@@ -257,16 +241,11 @@ class ContinuousDynamicsModel:
         if (np.diag(q) < 0).any():
             raise ValueError("Q diagonal entries must be nonnegative")
         period = self.sampling_period
-        if not (isinstance(period, numbers.Real) and 0 < period < math.inf):
+        if not _validate.is_positive_finite(period):
             raise ValueError("sampling period must be positive and finite")
         substeps = self.substeps
         if substeps is not None:
-            # integral floats such as 30.0 are accepted; 2.5 is not truncated
-            if not (
-                isinstance(substeps, numbers.Real)
-                and substeps >= 1
-                and float(substeps).is_integer()
-            ):
+            if not _validate.is_count(substeps):
                 raise ValueError("substeps must be a positive integer")
             substeps = int(substeps)
         a.flags.writeable = False

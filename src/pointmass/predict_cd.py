@@ -11,7 +11,8 @@ a trace correction plus a per-axis second-difference diffusion operator.
 * :func:`predict_efficient` uses the closed-form eigendecomposition of
   the substep matrix in the (grid-independent) sine basis: all substep
   eigenvalue tensors are multiplied elementwise and applied between a
-  forward and an inverse fast sine transform.
+  forward and an inverse fast sine transform.  The sine basis
+  diagonalizes the substep matrix for any count, odd or even.
 
 Both paths share the identical discretization, so they agree to
 floating-point rounding.  The sine eigenbasis implies absorbing (zero
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _validate
 from .grid import (
     LatticeGrid,
     PointMassDensity,
@@ -55,6 +57,8 @@ __all__ = [
 
 _STABILITY_LIMIT = 0.5
 _STABILITY_SLACK = 1e-12
+#: Fraction of the stability limit a searched substep count may reach.
+_SEARCH_MARGIN = 0.8
 _MAX_SUBSTEPS = 10_000_000
 _ACCUMULATION_CHUNK = 1 << 18  # stacked eigenvalue factors per batch
 
@@ -142,11 +146,6 @@ def _check_stability(ratios: NDArray) -> None:
         raise StabilityError(int(worst[s]), int(s), float(peak[s]))
 
 
-def _check_dim(model: ContinuousDynamicsModel, grid: LatticeGrid, what: str) -> None:
-    if grid.dim != model.dim:
-        raise ValueError(f"model and {what} must share the state dimension")
-
-
 def _caller_stacklevel() -> int:
     """Warning stack level of the first frame outside this module, so a
     warning points at the user's call whichever public function it
@@ -183,21 +182,17 @@ def _schedule(
     return bases, _flow_powers(flow, grid.center, substeps), ratios
 
 
-def stable_substep_count(
-    model: ContinuousDynamicsModel, grid: LatticeGrid, margin: float = 0.8
-) -> int:
-    """Smallest substep count keeping every substep within ``margin`` of
-    the stability limit over one sampling period.
+def stable_substep_count(model: ContinuousDynamicsModel, grid: LatticeGrid) -> int:
+    """Smallest substep count keeping every substep within
+    ``_SEARCH_MARGIN`` (0.8) of the stability limit over one sampling period.
 
     Doubling, then bisection, over probes that each decide on the
     substep bases of :func:`_doubled_flow_powers`.  Those differ from the
     exact chain of :func:`_schedule` by rounding only, and the schedule
     still checks every substep of that chain against the limit itself.
     """
-    if not 0 < margin <= 1:
-        raise ValueError("margin must be in (0, 1]")
-    _check_dim(model, grid, "grid")
-    threshold = margin * _STABILITY_LIMIT
+    _validate.same_dimension(model, grid, "grid")
+    threshold = _SEARCH_MARGIN * _STABILITY_LIMIT
 
     def stable(substeps: int) -> bool:
         dt = model.sampling_period / substeps
@@ -347,7 +342,7 @@ def spectral_operator(
     substep's grid; the tensors are multiplied into ``lambda_pow`` in
     substep order.
     """
-    _check_dim(model, grid, "grid")
+    _validate.same_dimension(model, grid, "grid")
     substeps = resolve_substeps(model, grid)
     dt = model.sampling_period / substeps
     bases, centers, ratios = _schedule(model, grid, substeps, dt)
@@ -365,7 +360,7 @@ def predict_standard(
     normalized: bool = True,
 ) -> PointMassDensity:
     """Dense matrix substepping over one sampling period."""
-    _check_dim(model, pmd.grid, "density")
+    _validate.same_dimension(model, pmd.grid, "density")
     substeps = resolve_substeps(model, pmd.grid)
     dt = model.sampling_period / substeps
     bases, centers, _ = _schedule(model, pmd.grid, substeps, dt)
@@ -390,11 +385,7 @@ def predict_efficient(
     eigenvalue tensor, and transformed back (the sine transform is its
     own inverse up to ``2 / (N_i + 1)`` per axis).
     """
-    if not pmd.grid.all_counts_odd:
-        raise ValueError(
-            f"the spectral predictor requires odd counts, got {pmd.grid.counts}"
-        )
-    _check_dim(model, pmd.grid, "density")
+    _validate.same_dimension(model, pmd.grid, "density")
     op = spectral_operator(model, pmd.grid)
     spectrum = op.lambda_pow * dst1_nd(pmd.physical)
     back = dst1_nd(spectrum)

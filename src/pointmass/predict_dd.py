@@ -8,7 +8,9 @@ Two interchangeable predictors propagate a point-mass density through
 * :func:`predict_efficient` places the predictive grid at ``F`` times the
   current grid, which makes the transition matrix constant along index
   offsets, so only its middle row is needed and the update becomes a
-  same-size FFT convolution, costing O(N log N).
+  same-size FFT convolution, costing O(N log N).  A middle row exists
+  only with an odd count on every axis, so this predictor requires
+  one; the matrix path takes any count.
 
 Both predictors put the predictive density on the transformed grid, so
 their outputs are directly comparable; the matrix path is the
@@ -25,6 +27,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _validate
 from .grid import LatticeGrid, PointMassDensity, _derived_grid, _predicted_density
 from .models import DiscreteDynamicsModel, GaussianDensity
 from .transforms import convolve_fft_nd
@@ -50,8 +53,7 @@ def transformed_grid(grid: LatticeGrid, transition: NDArray) -> LatticeGrid:
     can make the result invalid, so only that is checked.
     """
     f = np.asarray(transition, dtype=float)
-    if abs(np.linalg.det(f)) == 0.0:
-        raise ValueError("transition matrix must be nonsingular")
+    _validate.nonsingular(f, "transition matrix")
     return _derived_grid(grid.counts, f @ grid.basis, f @ grid.center)
 
 
@@ -75,8 +77,8 @@ def transition_matrix(
     times the source cell volume.  Intended for moderate sizes; the
     standard predictor streams the same rows without materializing them.
     """
-    if grid_from.dim != grid_to.dim or grid_from.dim != model.dim:
-        raise ValueError("model and grids must share the state dimension")
+    for grid in (grid_from, grid_to):
+        _validate.same_dimension(model, grid, "grids")
     return _target_rows(model, grid_from, grid_to.points)
 
 
@@ -92,20 +94,12 @@ def middle_row_kernel(
     :func:`transition_matrix` computes that row, so the two agree bit for
     bit.
     """
-    if not grid.all_counts_odd:
-        raise ValueError(
-            f"the convolution kernel requires odd counts, got {grid.counts}"
-        )
+    _validate.odd_counts(grid.counts, "the convolution kernel")
     # The predictive center point is the predictive grid's center F c
     # plus a zero offset; adding 0.0 reproduces the same floats that grid
     # stores there.
     target = model.F @ grid.center + 0.0
     return _target_rows(model, grid, target).reshape(grid.counts)
-
-
-def _check_dim(pmd: PointMassDensity, model: DiscreteDynamicsModel) -> None:
-    if pmd.grid.dim != model.dim:
-        raise ValueError("model and density must share the state dimension")
 
 
 def predict_standard(
@@ -121,7 +115,7 @@ def predict_standard(
     takes a whitened inner-product path; any other density is evaluated
     blockwise through its callable.
     """
-    _check_dim(pmd, model)
+    _validate.same_dimension(model, pmd.grid, "density")
     grid = pmd.grid
     new_grid = transformed_grid(grid, model.F)
     targets = new_grid.points
@@ -130,9 +124,13 @@ def predict_standard(
 
     noise = model.noise
     if isinstance(noise, GaussianDensity):
+        # |a - b|^2 is expanded as |a|^2 - 2 a.b + |b|^2, which cancels
+        # badly far from the origin: measure both from the grid's center
+        center = new_grid.center
+        targets = targets - center
         scale = math.exp(noise.log_norm) * grid.cell_volume
         w_t = noise.whitener.T
-        y_from = (grid.points @ model.F.T) @ w_t
+        y_from = (grid.points @ model.F.T - center) @ w_t
         beta = (y_from * y_from).sum(axis=1)
         block = max(1, int(_BLOCK_BYTES / (16 * n)))
         out = np.empty(n)
@@ -170,7 +168,7 @@ def predict_efficient(
     bit, to clipping ``convolve_fft_nd(middle_row_kernel(model, grid),
     pmd.physical)`` on :func:`transformed_grid`.
     """
-    _check_dim(pmd, model)
+    _validate.same_dimension(model, pmd.grid, "density")
     grid = pmd.grid
     kernel = middle_row_kernel(model, grid)
     new_grid = transformed_grid(grid, model.F)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterator, NamedTuple
 
+from . import _validate
 from .grid import PointMassDensity
 from .models import ContinuousDynamicsModel, DiscreteDynamicsModel
 
@@ -33,9 +34,9 @@ def propagate(
     starts from the previous step's normalized prediction.  Yields one
     :class:`PropagationStep` per step, and nothing when ``steps`` is 0.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    for _ in range(steps):
+    if not _validate.is_count(steps, 0):
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
+    for _ in range(int(steps)):
         start = time.perf_counter()
         raw = predict(pmd, model, normalized=False)
         seconds = time.perf_counter() - start

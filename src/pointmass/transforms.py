@@ -23,6 +23,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _validate
+
 __all__ = [
     "convolve_direct_nd",
     "convolve_fft_nd",
@@ -67,8 +69,7 @@ def _check_pair(kernel: NDArray, signal: NDArray) -> tuple[NDArray, NDArray]:
         raise ValueError(
             f"kernel shape {kernel.shape} != signal shape {signal.shape}"
         )
-    if any(n % 2 == 0 for n in kernel.shape):
-        raise ValueError(f"all counts must be odd, got {kernel.shape}")
+    _validate.odd_counts(kernel.shape, "the same-size convolution")
     return kernel, signal
 
 

@@ -99,6 +99,19 @@ def test_scenario_rejects_even_counts_for_efficient():
     Scenario.from_dict(data)
 
 
+def test_even_counts_only_rejected_for_discrete_efficient(tmp_path, capsys):
+    # the sine basis of the continuous predictor takes any count; the
+    # middle-row convolution of the discrete one needs odd counts
+    cd = cd_scenario_dict((30,), predictor="both")
+    assert main(["compare", write_scenario(tmp_path, cd, "cd.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    dd = dd_scenario_dict((8,), predictor="efficient")
+    assert main(["predict", write_scenario(tmp_path, dd, "dd.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "odd" in captured.err
+
+
 def test_scenario_rejects_unknown_fields():
     data = dd_scenario_dict()
     data["typo_field"] = 1

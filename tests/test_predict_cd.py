@@ -393,12 +393,17 @@ def test_efficient_equals_standard_1d_contracting():
     assert rel_max(e.weights, s.weights) < 1e-8
 
 
-def test_efficient_requires_odd_counts():
-    g = LatticeGrid.axis_aligned((4,), (1.0,), (0.0,))
-    pmd = PointMassDensity(g, np.ones(4)).normalized()
-    model = ContinuousDynamicsModel([[0.0]], [[0.1]], substeps=1)
-    with pytest.raises(ValueError, match="odd"):
-        predict_efficient(pmd, model)
+@pytest.mark.parametrize("counts", [(80,), (40, 36), (20, 16)])
+def test_efficient_equals_standard_for_even_counts(counts):
+    # the sine basis diagonalizes the substep matrix for any count
+    n = len(counts)
+    g = LatticeGrid.spanning(counts, (0.5,) * n, (6.0,) * n)
+    pmd = gaussian_pmd(g, np.eye(n), mean=[0.5] * n)
+    model = ContinuousDynamicsModel(np.diag([-0.5, -0.3][:n]), [0.4, 0.3][:n])
+    s = predict_standard(pmd, model)
+    e = predict_efficient(pmd, model)
+    assert s.grid == e.grid
+    assert rel_max(e.weights, s.weights) < 1e-8
 
 
 def test_ou_moment_error_decreases_with_substeps():
@@ -476,21 +481,23 @@ def test_stable_substep_count_equals_sequential_chain_search(margin, monkeypatch
     # 1-D to 3-D; Ornstein-Uhlenbeck, rotating and nonnormal drifts and a
     # sheared grid: the count equals the search over sequential chains,
     # none of which the library needs to run
+    monkeypatch.setattr(predict_cd, "_SEARCH_MARGIN", margin)
     for model, grid in search_battery():
         expected = chain_search(model, grid, margin)
         with recorded_chains(monkeypatch) as chains:
-            assert stable_substep_count(model, grid, margin) == expected
+            assert stable_substep_count(model, grid) == expected
         assert chains == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_stable_substep_count_accepts_threshold_tie(dim):
+def test_stable_substep_count_accepts_threshold_tie(dim, monkeypatch):
     # without drift the flow is exactly the identity and every ratio is
     # exactly dt * Q / h^2: at 8 substeps 0.125 * 4 / 1 lies on the
     # threshold, which a stable count may reach
+    monkeypatch.setattr(predict_cd, "_SEARCH_MARGIN", 1.0)
     grid = LatticeGrid.axis_aligned((5,) * dim, (1.0,) * dim, (0.0,) * dim)
     model = ContinuousDynamicsModel(np.zeros((dim, dim)), np.diag([4.0] * dim))
-    assert stable_substep_count(model, grid, 1.0) == 8
+    assert stable_substep_count(model, grid) == 8
     assert chain_search(model, grid, 1.0) == 8
 
 

@@ -280,6 +280,19 @@ def test_efficient_mass_bound_and_leak_monotone_in_width():
     assert leaks[0] > leaks[1] > leaks[2] >= 0.0
 
 
+def test_standard_gaussian_path_exact_far_from_origin():
+    # the whitened path expands |a - b|^2 = |a|^2 - 2 a.b + |b|^2, which
+    # cancels badly around 1000 unless it is measured from the grid center
+    g = LatticeGrid.spanning((101,), (1000.0,), (6.0,))
+    pmd = gaussian_pmd(g, 1.0, mean=[1000.0])
+    model = DiscreteDynamicsModel.gaussian([[1.0]], 0.05)
+    s = predict_standard(pmd, model, normalized=False)
+    e = predict_efficient(pmd, model, normalized=False)
+    dense = transition_matrix(model, g, s.grid) @ pmd.weights
+    assert rel_max(s.weights, dense) < 1e-12
+    assert rel_max(e.weights, s.weights) < 1e-12
+
+
 def test_efficient_predict_rejects_even_counts():
     g = LatticeGrid.axis_aligned((4, 5), (1.0, 1.0), (0.0, 0.0))
     pmd = PointMassDensity(g, np.ones(20)).normalized()
