@@ -33,6 +33,9 @@ __all__ = [
 
 _TAYLOR_ORDER = 18
 
+# exp(q) is a normal float exactly when q >= _LOG_TINY
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
 
 def matrix_exponential(a: NDArray, t: float = 1.0) -> NDArray[np.float64]:
     """Matrix exponential ``exp(a * t)`` by scaling and squaring.
@@ -64,30 +67,52 @@ def _quadratic_form(pts: NDArray, whitener: NDArray) -> NDArray:
 
     Accumulation order is fixed by explicit loops, so results are
     bit-identical regardless of the caller's array shape.  The points are
-    read as contiguous coordinate columns, and whitener entries that are
+    read as contiguous coordinate columns (a coordinate-major view, as
+    transition rows pass, needs no copy), and whitener entries that are
     exactly zero are skipped: the whitener ``inv(cholesky)`` is lower
     triangular, and diagonal for independent noise.  A skipped term can
     only flip the sign of a zero in ``z``, which squaring removes, so for
     finite input the result equals the sum over every entry bit for bit.
+    The sum starts from the first square rather than from 0, which
+    changes no bit: ``0 + s == s`` for a square ``s``.
     """
     cols = np.ascontiguousarray(pts.T)  # strided columns would reread every row
-    q = np.zeros(cols.shape[1])
-    z = np.empty_like(q)
+    q = z = np.empty(cols.shape[1])
     for row in whitener.tolist():
         (w, col), *rest = [(w, col) for w, col in zip(row, cols) if w != 0.0]
         np.multiply(col, w, out=z)
         for w, col in rest:
             z += w * col
         z *= z
-        q += z
+        if z is q:
+            z = np.empty_like(q)
+        else:
+            q += z
     return q
+
+
+def _exp_flushed(exponent: NDArray) -> NDArray:
+    """``exp`` in place, with 0 where the result would be subnormal.
+
+    numpy's vectorized ``exp`` leaves its fast path for every input whose
+    result underflows: on an AVX-512 Xeon core, about 170 ns for a
+    subnormal result, 17 ns for a zero and 4 ns for ``exp(-inf)``,
+    against about 1 ns for a normal one.  So the entries to flush go
+    through the ``exp`` as zeros.
+    """
+    flush = exponent < _LOG_TINY
+    np.copyto(exponent, 0.0, where=flush)
+    np.exp(exponent, out=exponent)
+    np.copyto(exponent, 0.0, where=flush)
+    return exponent
 
 
 class GaussianDensity:
     """Multivariate normal density with optional nonzero mean.
 
     ``cov`` may be a scalar (1-D), a length-n vector of variances, or a
-    full symmetric positive-definite matrix.
+    full symmetric positive-definite matrix.  Values below the smallest
+    normal float (``numpy.finfo(float).tiny``) are returned as 0.
     """
 
     def __init__(self, cov: NDArray | float, mean: NDArray | None = None):
@@ -127,11 +152,14 @@ class GaussianDensity:
         # in place: each fresh array of this size faults its pages in anew
         q *= -0.5
         q += self.log_norm
-        return np.exp(q, out=q).reshape(lead_shape)
+        return _exp_flushed(q).reshape(lead_shape)
 
 
 class LaplaceDensity:
-    """Product of independent zero-mean Laplace densities, one per axis."""
+    """Product of independent zero-mean Laplace densities, one per axis.
+
+    Values below the smallest normal float are returned as 0.
+    """
 
     def __init__(self, scales: NDArray | float):
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
@@ -149,7 +177,9 @@ class LaplaceDensity:
         r = np.abs(flat[:, 0]) / self.scales[0]
         for j in range(1, self.dim):
             r += np.abs(flat[:, j]) / self.scales[j]
-        return np.exp(-r + self._log_norm).reshape(lead_shape)
+        np.negative(r, out=r)
+        r += self._log_norm
+        return _exp_flushed(r).reshape(lead_shape)
 
 
 class _CheckedDensity:
@@ -180,8 +210,9 @@ class DiscreteDynamicsModel:
     """Linear discrete-time dynamics ``x[k+1] = F x[k] + w[k]``.
 
     ``noise`` evaluates the white-noise density; any nonnegative
-    evaluable density is accepted.  ``F`` must be nonsingular so the
-    transformed grid remains a valid lattice.
+    evaluable density is accepted.  Transition rows pass it a strided
+    ``(..., N, n)`` view, not a C-contiguous array.  ``F`` must be
+    nonsingular so the transformed grid remains a valid lattice.
     """
 
     F: NDArray[np.float64]

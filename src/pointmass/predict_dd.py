@@ -60,10 +60,22 @@ def transformed_grid(grid: LatticeGrid, transition: NDArray) -> LatticeGrid:
 def _target_rows(
     model: DiscreteDynamicsModel, grid_from: LatticeGrid, targets: NDArray
 ) -> NDArray:
-    """Transition values from every source point to each target point."""
-    mapped = grid_from.points @ model.F.T
-    diff = targets[..., None, :] - mapped
-    return model.noise(diff) * grid_from.cell_volume
+    """Transition values from every source point to one target ``(n,)``
+    or to each of ``T`` targets ``(T, n)``.
+
+    The differences ``target - F x`` are built coordinate-major, as an
+    ``(n, N)`` or ``(n, T, N)`` array, so the noise density receives an
+    ``(N, n)`` or ``(T, N, n)`` view whose coordinate columns are
+    contiguous.  For a single target, as the kernel and one-point grids
+    ask for, they overwrite the mapped points.
+    """
+    mapped = model.F @ grid_from.points.T
+    if targets.ndim == 2:
+        mapped = mapped[:, None, :]
+    out = mapped if targets.size == model.dim else None
+    diff = np.subtract(targets.T[..., None], mapped, out=out)
+    points = diff.transpose(*range(1, diff.ndim), 0)
+    return model.noise(points) * grid_from.cell_volume
 
 
 def transition_matrix(

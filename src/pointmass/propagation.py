@@ -33,10 +33,20 @@ def propagate(
     called as ``predict(density, model, normalized=False)``; each step
     starts from the previous step's normalized prediction.  Yields one
     :class:`PropagationStep` per step, and nothing when ``steps`` is 0.
+    A bad ``steps`` raises here, before any step is drawn.
     """
     if not _validate.is_count(steps, 0):
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
-    for _ in range(int(steps)):
+    return _steps(pmd, model, int(steps), predict)
+
+
+def _steps(
+    pmd: PointMassDensity,
+    model: DiscreteDynamicsModel | ContinuousDynamicsModel,
+    steps: int,
+    predict: Callable[..., PointMassDensity],
+) -> Iterator[PropagationStep]:
+    for _ in range(steps):
         start = time.perf_counter()
         raw = predict(pmd, model, normalized=False)
         seconds = time.perf_counter() - start

@@ -49,17 +49,16 @@ def _next_smooth(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _padded_length(count: int) -> int:
-    """Fast transform length >= 2 * count - 1 for the linear convolution.
+    """Fast circular transform length for the same-size convolution.
 
-    Prefers even 5-smooth lengths: pocketfft's real transforms degrade on
-    large odd radix-3 towers, and the next power of two bounds the search.
+    The linear convolution of two odd ``count``-point inputs has entries
+    ``0 ... 4 h``, with ``h = (count - 1) / 2``, and the crop keeps
+    ``h ... 3 h``.  On a circle of length ``L >= 3 h + 1 = count + h``
+    the entries ``L ... 4 h`` wrap onto ``0 ... 4 h - L``, all below
+    ``h``, so the crop is free of wrap-around.  The length is the next
+    5-smooth one at or above ``count + h``.
     """
-    target = 2 * count - 1
-    pow2 = 1 << (target - 1).bit_length()
-    length = _next_smooth(target)
-    while length % 2 == 1 and length < pow2:
-        length = _next_smooth(length + 1)
-    return min(length, pow2)
+    return _next_smooth(count + (count - 1) // 2)
 
 
 def _check_pair(kernel: NDArray, signal: NDArray) -> tuple[NDArray, NDArray]:
@@ -185,15 +184,16 @@ def _plan(kind: type, counts: tuple[int, ...]):
 def convolve_fft_nd(kernel: NDArray, signal: NDArray) -> NDArray[np.float64]:
     """FFT realization of :func:`convolve_direct_nd`.
 
-    Both inputs are zero padded per axis to a fast even length at or
-    above ``2 * N_i - 1`` (full linear convolution), transformed,
-    multiplied, inverted, and cropped to the centered window.  The
+    Both inputs are zero padded per axis to a fast length at or above
+    ``N_i + (N_i - 1) / 2``, the shortest circular length whose
+    wrap-around misses the centered window (see :func:`_padded_length`),
+    transformed, multiplied, inverted, and cropped to that window.  The
     transforms are pruned: the forward stages transform only the lanes
     that hold data and the inverse stages invert only the lanes inside
     the crop, each lane exactly as ``numpy.fft.rfftn``/``irfftn`` would,
-    so the result equals the full-buffer computation bit for bit.  The
-    stage arrays are reused across calls of one shape; the result is a
-    fresh array.
+    so the result equals the full-buffer computation at that length bit
+    for bit.  The stage arrays are reused across calls of one shape; the
+    result is a fresh array.
     """
     kernel, signal = _check_pair(kernel, signal)
     plan = _plan(_ConvolutionPlan, kernel.shape)

@@ -12,7 +12,9 @@ from pointmass import (
     LaplaceDensity,
     matrix_exponential,
 )
-from pointmass.models import _quadratic_form
+from pointmass.models import _LOG_TINY, _exp_flushed, _quadratic_form
+
+TINY = np.finfo(float).tiny
 
 
 def test_expm_zero_is_identity():
@@ -184,6 +186,56 @@ def test_laplace_density_matches_formula():
         np.exp(-np.abs(pts[:, 0]) / 0.5 - np.abs(pts[:, 1]) / 2.0) / (2 * 0.5 * 2 * 2.0)
     )
     np.testing.assert_allclose(d(pts), expected, rtol=1e-14)
+
+
+def test_exp_flush_threshold_is_the_smallest_normal_result():
+    # exponents around the threshold ulp by ulp, then across the whole
+    # range where exp is subnormal or underflows
+    near = [_LOG_TINY]
+    for direction in (-np.inf, np.inf):
+        x = _LOG_TINY
+        for _ in range(50):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    exponents = np.concatenate([near, np.linspace(-800.0, 0.0, 80_001), [-np.inf]])
+    expected = np.exp(exponents)
+    assert ((expected > 0) & (expected < TINY)).sum() > 1000
+    expected[expected < TINY] = 0.0
+    assert np.exp(_LOG_TINY) >= TINY > np.exp(np.nextafter(_LOG_TINY, -np.inf))
+    np.testing.assert_array_equal(_exp_flushed(exponents.copy()), expected)
+
+
+def laplace_loop(pts, scales):
+    """The Laplace density as ``exp(-sum |x_j| / s_j + log_norm)``, summed
+    in axis order."""
+    r = np.abs(pts[:, 0]) / scales[0]
+    for j in range(1, len(scales)):
+        r += np.abs(pts[:, j]) / scales[j]
+    return np.exp(-r + -np.log(2.0 * scales).sum())
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "laplace"])
+def test_packaged_densities_flush_only_subnormal_values(kind):
+    # 0 where the unflushed formula gives a subnormal, its value bit for
+    # bit everywhere else, on C-ordered points and on the coordinate-major
+    # view that transition rows pass
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-14.0, 14.0, (20_000, 3))
+    if kind == "gaussian":
+        cov = np.array([[0.3, 0.05, 0.0], [0.05, 0.2, 0.0], [0.0, 0.0, 0.25]])
+        density = GaussianDensity(cov, mean=[0.1, -0.2, 0.0])
+        q = quadratic_form_loop(pts - density.mean, density.whitener)
+        unflushed = np.exp(-0.5 * q + density.log_norm)
+    else:
+        scales = np.array([0.05, 0.04, 0.06])
+        density = LaplaceDensity(scales)
+        unflushed = laplace_loop(pts, scales)
+    subnormal = (unflushed > 0) & (unflushed < TINY)
+    assert subnormal.sum() > 100
+    expected = np.where(subnormal, 0.0, unflushed)
+    columns = np.ascontiguousarray(pts.T).T
+    for points in (pts, columns):
+        np.testing.assert_array_equal(density(points), expected)
 
 
 def test_laplace_density_covariance():

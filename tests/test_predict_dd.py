@@ -9,6 +9,7 @@ from pointmass import (
     PointMassDensity,
 )
 from pointmass.predict_dd import (
+    _target_rows,
     middle_row_kernel,
     predict_efficient,
     predict_inflated,
@@ -119,6 +120,47 @@ def test_tpm_2d_depends_only_on_index_offset():
                 assert t[j, i] == pytest.approx(seen[key], rel=1e-12)
             else:
                 seen[key] = t[j, i]
+
+
+def asymmetric_noise(pts):
+    """A skewed density, written for any strides: it indexes coordinates
+    and never reshapes."""
+    return np.exp(-np.abs(pts[..., 0] - 0.2) / 0.3 - (pts[..., 1] + 0.1) ** 2 / 0.4) / 2.0
+
+
+class RecordingNoise:
+    """``asymmetric_noise`` that records the layout of each input."""
+
+    def __init__(self):
+        self.contiguous = []
+
+    def __call__(self, pts):
+        self.contiguous.append(pts.flags.c_contiguous)
+        return asymmetric_noise(pts)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (6,)])
+@pytest.mark.parametrize("kind", ["gaussian", "laplace", "custom", "recording"])
+def test_target_rows_equal_in_test_formula(kind, lead):
+    # one target as a vector (the kernel), as a one-point grid and several
+    noise = {
+        "gaussian": lambda: GaussianDensity([[0.16, 0.03], [0.03, 0.1]]),
+        "laplace": lambda: LaplaceDensity([0.05, 0.08]),
+        "custom": lambda: asymmetric_noise,
+        "recording": RecordingNoise,
+    }[kind]()
+    model = DiscreteDynamicsModel([[1.0, 0.3], [-0.2, 0.9]], noise)
+    # wide cells and narrow noise put flushed zeros into the packaged rows
+    g = LatticeGrid((41, 37), [[1.1, 0.1], [0.0, 0.9]], [0.3, -0.4])
+    rng = np.random.default_rng(len(lead))
+    t = g.points[rng.choice(g.size, lead or None)] + rng.normal(0, 0.5, (*lead, 2))
+    expected = model.noise(t[..., None, :] - g.points @ model.F.T) * g.cell_volume
+    if kind == "recording":
+        noise.contiguous.clear()
+    rows = _target_rows(model, g, t)
+    np.testing.assert_array_equal(rows, expected)
+    if kind == "recording":
+        assert noise.contiguous == [False]  # it received the coordinate-major view
 
 
 # -- middle-row kernel ------------------------------------------------------------------

@@ -54,3 +54,13 @@ def test_propagate_zero_steps_yields_nothing():
     assert calls == []
     with pytest.raises(ValueError, match="nonnegative"):
         list(propagate(prior(), DD_MODEL, -1, predict_dd.predict_efficient))
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, float("nan"), "3"])
+def test_propagate_rejects_bad_steps_when_called(steps):
+    # the check runs on the call, not at the first step drawn, so a caller
+    # that builds several runs before iterating them learns of it at once
+    calls = []
+    with pytest.raises(ValueError, match="nonnegative"):
+        propagate(prior(), DD_MODEL, steps, lambda *a, **k: calls.append(a))
+    assert calls == []

@@ -109,11 +109,12 @@ def test_fft_bit_equal_to_full_buffer_convolution(counts):
 
 
 def test_fft_reused_buffers_keep_results_independent():
-    # counts 15 and 13 pad to the same length, and the calls alternate
+    # counts 27 and 25 pad to the same length, and the calls alternate
     # dimension (5-D -> 2-D -> 1-D -> 5-D); each call must see only its own
     # inputs, and a result must survive the next calls
+    assert _padded_length(27) == _padded_length(25)
     rng = np.random.default_rng(3)
-    counts = [(15,), (15,), (13,), (13, 15), (9,) * 5, (13, 15), (13,), (9,) * 5]
+    counts = [(27,), (27,), (25,), (25, 27), (9,) * 5, (25, 27), (25,), (9,) * 5]
     pairs = [(rng.random(c), rng.random(c)) for c in counts]
     results = [convolve_fft_nd(k, s) for k, s in pairs]
     for (k, s), out in zip(pairs, results):
@@ -125,7 +126,7 @@ def test_fft_reused_buffers_keep_results_independent():
 
 def test_fft_warm_call_allocates_little_beyond_its_result():
     # the stage arrays are reused; a warm 9^5 call allocates its 0.45 MB
-    # result, not padded-size (16.8 MB complex) temporaries
+    # result, not padded-size (6.5 MB complex) temporaries
     import tracemalloc
 
     rng = np.random.default_rng(9)
@@ -166,6 +167,23 @@ def assert_same_results_across_threads(function, inputs):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+@pytest.mark.parametrize("counts", [(3,), (7,), (11,), (3, 11), (11, 3, 7), (7, 3, 11, 3)])
+def test_fft_shortest_length_has_no_wrap_around(counts):
+    # at these counts the circular length is exactly N + (N - 1) / 2, the
+    # least that keeps the crop free of wrap-around; spikes at the kernel's
+    # and the signal's corners put the most weight on the extreme offsets,
+    # whose linear-convolution entries are the first to wrap
+    assert [_padded_length(n) for n in counts] == [n + (n - 1) // 2 for n in counts]
+    rng = np.random.default_rng(sum(counts))
+    k = rng.uniform(0.5, 1.0, counts)  # full support: every offset is present
+    s = rng.uniform(0.5, 1.0, counts)
+    for corner in np.ndindex(*(2,) * len(counts)):
+        index = tuple(c * (n - 1) for c, n in zip(corner, counts))
+        k[index] += 1e3
+        s[index] += 1e3
+    assert rel_max(convolve_fft_nd(k, s), convolve_direct_nd(k, s)) < 1e-13
 
 
 def test_fft_reused_buffers_are_per_thread():
@@ -325,18 +343,13 @@ def test_dst1_reused_buffers_keep_results_independent():
         np.testing.assert_array_equal(out, scipy_dstn(t))
 
 
-def scipy_padded_length(count: int) -> int:
-    """The padded-length rule as written with ``scipy.fft.next_fast_len``."""
-    target = 2 * count - 1
-    pow2 = 1 << (target - 1).bit_length()
-    length = scipy.fft.next_fast_len(target, real=True)
-    while length % 2 == 1 and length < pow2:
-        length = scipy.fft.next_fast_len(length + 1, real=True)
-    return min(length, pow2)
-
-
 def test_padded_length_matches_scipy_rule():
-    mismatches = [n for n in range(1, 4097) if _padded_length(n) != scipy_padded_length(n)]
+    # the next length scipy's real transforms call fast at or above the
+    # shortest alias-free circular length N + (N - 1) / 2
+    mismatches = [
+        n for n in range(1, 4097)
+        if _padded_length(n) != scipy.fft.next_fast_len(n + (n - 1) // 2, real=True)
+    ]
     assert mismatches == []
 
 
