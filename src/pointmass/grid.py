@@ -234,6 +234,8 @@ class LatticeGrid:
     # -- equality -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # exact: the arrays are validated finite, so never NaN
+            return True
         if not isinstance(other, LatticeGrid):
             return NotImplemented
         return (

@@ -96,10 +96,20 @@ def _flow_powers(flow: NDArray, x: NDArray, substeps: int) -> NDArray:
 
     Each entry is the same ``flow @ previous`` product that
     :func:`substep_grid` applies, so stacked bases or centers equal those
-    of a chain of moved grids bit for bit.
+    of a chain of moved grids bit for bit.  A diagonal flow, which
+    :func:`~pointmass.models.matrix_exponential` returns for a diagonal
+    drift, scales row ``i`` by ``f_i`` once per substep: the matmul's other
+    terms are exact zeros, so one cumulative product down the stacked axis
+    rounds each entry exactly as the chain does.
     """
     out = np.empty((substeps + 1, *x.shape))
     out[0] = x
+    factors = np.diag(flow)
+    if not (flow - np.diag(factors)).any():
+        out[1:] = factors.reshape(-1, *(1,) * (x.ndim - 1))
+        np.multiply.accumulate(out, axis=0, out=out)
+        out[1:] += 0.0  # the matmul's sum gives +0 where a lone product gives -0
+        return out
     for s in range(substeps):
         np.matmul(flow, out[s], out=out[s + 1])
     return out
@@ -186,16 +196,23 @@ def stable_substep_count(model: ContinuousDynamicsModel, grid: LatticeGrid) -> i
     """Smallest substep count keeping every substep within
     ``_SEARCH_MARGIN`` (0.8) of the stability limit over one sampling period.
 
-    Doubling, then bisection, over probes that each decide on the
+    One substep is probed first.  Otherwise the search starts from the
+    larger of the counts at which a single substep at either end of the
+    period reaches the margin: on the grid's own basis, or on that basis
+    moved by ``exp(A T)`` (ignored when not finite).  Offsets of 1, 2,
+    4, ... from there bracket the answer, and bisection closes the
+    bracket.  No count above ``_MAX_SUBSTEPS`` is probed, and none at all
+    when the grid's own basis alone needs more.  Each probe decides on the
     substep bases of :func:`_doubled_flow_powers`.  Those differ from the
     exact chain of :func:`_schedule` by rounding only, and the schedule
     still checks every substep of that chain against the limit itself.
     """
     _validate.same_dimension(model, grid, "grid")
     threshold = _SEARCH_MARGIN * _STABILITY_LIMIT
+    period = model.sampling_period
 
     def stable(substeps: int) -> bool:
-        dt = model.sampling_period / substeps
+        dt = period / substeps
         # substep 0 runs on the grid's own basis: no flow needed to reject
         if _stability_ratios(model, grid.basis[None], dt).max() > threshold:
             return False
@@ -205,21 +222,47 @@ def stable_substep_count(model: ContinuousDynamicsModel, grid: LatticeGrid) -> i
         bases = _doubled_flow_powers(flow, grid.basis, substeps)
         return not (_stability_ratios(model, bases, dt) > threshold).any()
 
-    hi = 1
-    while not stable(hi):
-        hi *= 2
-        if hi > _MAX_SUBSTEPS:
-            raise ValueError(
-                f"no substep count up to {_MAX_SUBSTEPS} satisfies the "
-                "stability limit; widen the grid spacing or reduce diffusion"
-            )
-    lo = hi // 2 + 1 if hi > 1 else 1
-    while lo < hi:
+    def bound(basis: NDArray) -> float:
+        """Count at which one substep on ``basis`` reaches the margin."""
+        return _stability_ratios(model, basis[None], period).max() / threshold
+
+    too_many = (
+        f"no substep count up to {_MAX_SUBSTEPS} satisfies the "
+        "stability limit; widen the grid spacing or reduce diffusion"
+    )
+
+    if stable(1):
+        return 1
+    first = bound(grid.basis)
+    if not first <= _MAX_SUBSTEPS:
+        raise ValueError(too_many)
+    last = bound(matrix_exponential(model.A, period) @ grid.basis)
+    guess = math.ceil(max(first, last) if math.isfinite(last) else first)
+    guess = min(max(guess, 2), _MAX_SUBSTEPS)
+    # bracket: ``lo`` is unstable, ``hi`` stable
+    offset = 1
+    if stable(guess):
+        hi = guess
+        while guess - offset > 1 and stable(guess - offset):
+            hi = guess - offset
+            offset *= 2
+        lo = max(1, guess - offset)
+    else:
+        lo = guess
+        while True:
+            if lo == _MAX_SUBSTEPS:
+                raise ValueError(too_many)
+            hi = min(guess + offset, _MAX_SUBSTEPS)
+            if stable(hi):
+                break
+            lo = hi
+            offset *= 2
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if stable(mid):
             hi = mid
         else:
-            lo = mid + 1
+            lo = mid
     return hi
 
 

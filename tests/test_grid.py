@@ -386,3 +386,39 @@ def test_dump_round_trip_file(tmp_path):
     back = load_pmd(path)
     assert back.grid == pmd.grid
     np.testing.assert_array_equal(back.weights, pmd.weights)
+
+
+# -- equality ------------------------------------------------------------------------
+
+
+def test_grid_equals_itself_without_comparing_arrays(monkeypatch):
+    g = LatticeGrid((3, 5), [[0.1, 0.03], [0.0, 0.7]], [1 / 3, -2 / 7])
+    pmd = PointMassDensity(g, np.ones(g.size))
+    # normalized() keeps the grid object, so a check of ``out.grid != raw.grid``
+    # compares a grid with itself
+    assert pmd.normalized().grid is g
+    with monkeypatch.context() as m:
+        m.setattr(np, "array_equal", lambda *args, **kwargs: pytest.fail("compared"))
+        assert g == g
+        assert not g != g
+
+
+def test_grid_equality_compares_counts_basis_and_center():
+    counts, basis, center = (3, 5), [[0.1, 0.03], [0.0, 0.7]], [1 / 3, -2 / 7]
+    g = LatticeGrid(counts, basis, center)
+    same = LatticeGrid(counts, np.array(basis), np.array(center))
+    assert same is not g and same == g and not same != g
+    differing = [
+        LatticeGrid((3, 7), basis, center),
+        LatticeGrid(counts, [[0.1, 0.03], [0.0, np.nextafter(0.7, 1.0)]], center),
+        LatticeGrid(counts, basis, [1 / 3, 2 / 7]),
+    ]
+    for other in differing:
+        assert other != g and g != other and not other == g
+
+
+def test_grid_equality_with_other_types():
+    g = LatticeGrid((3,), [[1.0]], [0.0])
+    for other in (None, 3, (3,), PointMassDensity(g, np.ones(3))):
+        assert g != other and not g == other
+    assert g.__eq__("grid") is NotImplemented

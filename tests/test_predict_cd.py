@@ -140,6 +140,39 @@ def search_battery():
     return cases
 
 
+def seeded_search_models(count):
+    """Seeded diagonal, rotating, nonnormal and fast Ornstein-Uhlenbeck
+    drifts, 1-D to 4-D, two in five on sheared grids, with substep counts
+    of 1 to about 7000.  The search's first guess lies up to 85 below and
+    up to 6 above the answer."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for k in range(count):
+        n = 1 + k % 4
+        kind = k % 5
+        drift = rng.standard_normal((n, n)) * rng.uniform(0.1, 1.0)
+        if kind == 0:  # diagonal, contracting or expanding per axis
+            drift = np.diag(np.diag(drift))
+        elif kind == 1:  # rotating
+            drift = drift - drift.T + rng.uniform(-0.3, 0.3) * np.eye(n)
+        elif kind == 2:  # nonnormal
+            drift = np.triu(drift)
+        steps = rng.uniform(0.03, 0.5, n)
+        diffusion = rng.uniform(0.05, 1.0, n)
+        if kind == 4:  # fast Ornstein-Uhlenbeck on a coarse grid
+            drift = -np.diag(rng.uniform(0.5, 3.0, n))
+            steps, diffusion = rng.uniform(0.3, 0.6, n), rng.uniform(0.01, 0.1, n)
+        basis = np.diag(steps)
+        if kind >= 3:  # sheared grid
+            basis[0, 1:] = rng.uniform(-0.5, 0.5) * steps[0]
+        grid = LatticeGrid((7,) * n, basis, rng.uniform(-1.0, 1.0, n))
+        model = ContinuousDynamicsModel(
+            drift, np.diag(diffusion), sampling_period=float(rng.uniform(0.3, 1.2))
+        )
+        cases.append((model, grid))
+    return cases
+
+
 # -- substep grid movement -----------------------------------------------------------
 
 
@@ -169,6 +202,90 @@ def test_substep_grid_composition_semigroup():
     direct = substep_grid(g, a, 0.2)
     np.testing.assert_allclose(stepped.basis, direct.basis, rtol=1e-10)
     np.testing.assert_allclose(stepped.center, direct.center, rtol=1e-10)
+
+
+# -- substep chains ------------------------------------------------------------------
+
+
+def matmul_chain(flow, x, substeps):
+    """``flow^s @ x`` for ``s = 0 .. substeps`` by sequential products."""
+    out = np.empty((substeps + 1, *np.shape(x)))
+    out[0] = x
+    for s in range(substeps):
+        np.matmul(flow, out[s], out=out[s + 1])
+    return out
+
+
+def assert_same_bits(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def diagonal_chain_cases():
+    """Diagonal flows 1-D to 4-D with sheared bases and centers holding
+    zero, negative and negative-zero entries."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for n in (1, 2, 3, 4):
+        basis = np.diag(rng.uniform(0.05, 0.5, n))
+        basis[0, 1:] = rng.uniform(-0.3, 0.3, n - 1)
+        center = rng.uniform(-2.0, 2.0, n)
+        center[0] = 0.0
+        if n > 1:
+            center[-1] = -0.0
+        for drift in (
+            np.zeros((n, n)),  # identity flow
+            np.diag(rng.uniform(-1.0, 1.0, n)),  # contracting and expanding axes
+        ):
+            flow = matrix_exponential(drift, float(rng.uniform(0.001, 0.05)))
+            cases.append((flow, basis, center))
+        # any diagonal flow: mixed signs, |f| > 1, an exact zero
+        factors = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+        if n > 2:
+            factors[-1] = 0.0
+        cases.append((np.diag(factors), -basis, center))
+    return cases
+
+
+def test_diagonal_flow_chain_equals_matmul_chain(monkeypatch):
+    for flow, basis, center in diagonal_chain_cases():
+        assert np.array_equal(flow, np.diag(np.diag(flow)))
+        expected = [matmul_chain(flow, x, 300) for x in (basis, center)]
+        with monkeypatch.context() as m:  # one cumulative product, no chain
+            m.setattr(np, "matmul", lambda *a, **k: pytest.fail("matmul chain"))
+            got = [predict_cd._flow_powers(flow, x, 300) for x in (basis, center)]
+        for g, e in zip(got, expected):
+            assert_same_bits(g, e)
+
+
+def test_nondiagonal_flow_chain_equals_matmul_chain():
+    # one tiny off-diagonal entry keeps the sequential chain
+    rng = np.random.default_rng(7)
+    for off in (1e-300, -0.02):
+        flow = np.diag(rng.uniform(0.9, 1.1, 3))
+        flow[2, 0] = off
+        basis = np.triu(rng.uniform(-0.5, 0.5, (3, 3))) + np.eye(3)
+        center = np.array([0.0, -1.5, 0.25])
+        for x in (basis, center):
+            assert_same_bits(
+                predict_cd._flow_powers(flow, x, 50), matmul_chain(flow, x, 50)
+            )
+
+
+def test_schedule_of_diagonal_drift_equals_moved_grid_chain():
+    # bases and centers of the schedule equal a chain of substep_grid calls
+    grid = LatticeGrid((9, 7), [[0.3, 0.05], [0.0, 0.4]], [-0.0, -1.25])
+    model = ContinuousDynamicsModel(np.diag([-0.6, 0.3]), np.diag([0.1, 0.2]))
+    substeps = resolve_substeps(model, grid)
+    dt = model.sampling_period / substeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LatticeShearWarning)
+        bases, centers, _ = predict_cd._schedule(model, grid, substeps, dt)
+    moved = grid
+    for s in range(substeps + 1):
+        assert np.array_equal(bases[s], moved.basis)
+        assert np.array_equal(centers[s], moved.center)
+        moved = substep_grid(moved, model.A, dt)
 
 
 # -- diffusion matrix -----------------------------------------------------------------
@@ -499,6 +616,59 @@ def test_stable_substep_count_accepts_threshold_tie(dim, monkeypatch):
     model = ContinuousDynamicsModel(np.zeros((dim, dim)), np.diag([4.0] * dim))
     assert stable_substep_count(model, grid) == 8
     assert chain_search(model, grid, 1.0) == 8
+
+
+def test_stable_substep_count_equals_chain_search_on_seeded_models():
+    for model, grid in seeded_search_models(240):
+        assert stable_substep_count(model, grid) == chain_search(model, grid, 0.8)
+
+
+@contextmanager
+def counted_exponentials(monkeypatch):
+    """Times the predictor module calls ``matrix_exponential``."""
+    calls = []
+
+    def counting(a, t=1.0):
+        calls.append(t)
+        return matrix_exponential(a, t)
+
+    monkeypatch.setattr(predict_cd, "matrix_exponential", counting)
+    yield calls
+    monkeypatch.setattr(predict_cd, "matrix_exponential", matrix_exponential)
+
+
+@pytest.mark.parametrize(
+    "drift", [1000.0 * np.eye(2), np.array([[800.0, 900.0], [-900.0, 800.0]])],
+    ids=["expanding", "expanding-rotating"],
+)
+def test_stable_substep_count_ignores_a_flow_past_the_float_range(drift):
+    # exp(A T) overflows to inf and NaN, so the end of the period gives no
+    # guess and the substep-0 bound does
+    grid = LatticeGrid.axis_aligned((9, 9), (0.5, 0.5), (0.0, 0.0))
+    model = ContinuousDynamicsModel(drift, 0.25 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(matrix_exponential(drift, 1.0) @ grid.basis).all()
+        assert stable_substep_count(model, grid) == 3
+        assert chain_search(model, grid, 0.8) == 3
+
+
+def test_stable_substep_count_starts_from_the_period_ends(monkeypatch):
+    # cd2d-ou's geometry: the end of the period puts the guess within one
+    # of the count, so the search needs no doubling from 1
+    grid = LatticeGrid.spanning((129, 129), (0.0, 0.0), (6.0, 6.0))
+    model = ContinuousDynamicsModel(np.diag([-0.5, -0.2]), np.diag([0.4, 0.3]))
+    with counted_exponentials(monkeypatch) as calls:
+        assert stable_substep_count(model, grid) == 309
+    assert 1 <= len(calls) <= 5
+
+
+def test_stable_substep_count_over_the_cap_raises_before_any_flow(monkeypatch):
+    grid = LatticeGrid.axis_aligned((5, 5), (1e-4, 0.5), (0.0, 0.0))
+    model = ContinuousDynamicsModel(-0.5 * np.eye(2), np.eye(2))
+    with counted_exponentials(monkeypatch) as calls:
+        with pytest.raises(ValueError, match="no substep count up to 10000000"):
+            stable_substep_count(model, grid)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore::pointmass.LatticeShearWarning")
