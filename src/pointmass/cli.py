@@ -14,6 +14,9 @@ Subcommands:
   prints a JSON report of per-step weight and moment differences,
   failing (exit 1) if they exceed the oracle threshold.
 
+``bench`` and ``compare`` write their tables to stdout only; redirect it
+to keep a file.
+
 A scenario file is a JSON object.  :class:`Scenario` turns each field
 once into the library object that owns it: the grid, the dynamics model
 with its noise density, the initial density and the predictor functions.
@@ -31,7 +34,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import statistics
@@ -375,15 +377,6 @@ def run_compare(scenario: Scenario) -> dict[str, Any]:
 # -- entry point ----------------------------------------------------------------
 
 
-def _rows_to_csv(rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointmass",
@@ -403,11 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated per-axis counts to sweep, e.g. 33,65,129",
     )
-    p_bench.add_argument("--out", default=None, help="also write the CSV here")
 
     p_compare = sub.add_parser("compare", help="run both predictors and compare")
     p_compare.add_argument("scenario")
-    p_compare.add_argument("--out", default=None, help="also write the JSON here")
     return parser
 
 
@@ -424,21 +415,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.sweep:
                 sweep = [int(tok) for tok in args.sweep.split(",") if tok]
             rows, slopes = run_bench(scenario, args.repeats, sweep)
-            text = _rows_to_csv(rows)
-            sys.stdout.write(text)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
             for name, slope in sorted(slopes.items()):
                 print(f"slope {name} {slope:.4f}", file=sys.stderr)
             return 0
         if args.command == "compare":
             report = run_compare(scenario)
-            text = json.dumps(report, indent=2)
-            print(text)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            print(json.dumps(report, indent=2))
             return 0 if report["passed"] else 1
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,10 +22,11 @@ same buffer.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, IO, Sequence
+from typing import IO, Callable, ContextManager, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -198,10 +199,16 @@ class LatticeGrid:
     def multi_index(self, linear_index: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.unravel_index(linear_index, self.counts))
 
-    def lattice_coordinates(self, x: Sequence[float]) -> NDArray[np.float64]:
-        """Map a state-space point to fractional multi-index coordinates."""
+    def lattice_coordinates(self, x: NDArray | Sequence[float]) -> NDArray[np.float64]:
+        """Map ``(..., n)`` state-space points to fractional multi-index
+        coordinates of the same shape."""
         x = np.asarray(x, dtype=float)
-        return np.linalg.solve(self.basis, x - self.center) + self.mid
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(
+                f"points must have shape (..., {self.dim}), got {x.shape}"
+            )
+        offsets = (x - self.center).reshape(-1, self.dim).T
+        return (np.linalg.solve(self.basis, offsets).T + self.mid).reshape(x.shape)
 
     # -- derived grids ------------------------------------------------------
 
@@ -366,9 +373,7 @@ class PointMassDensity:
         """
         if target.dim != self.grid.dim:
             raise ValueError("target grid dimension mismatch")
-        coords = np.linalg.solve(
-            self.grid.basis, (target.points - self.grid.center).T
-        ).T + self.grid.mid
+        coords = self.grid.lattice_coordinates(target.points)
         near = np.rint(coords)
         snap = np.abs(coords - near) < 1e-9
         coords = np.where(snap, near, coords)
@@ -412,6 +417,14 @@ def _predicted_density(
 # -- dump format --------------------------------------------------------------
 
 
+def _opened(path_or_file: str | IO[str], mode: str) -> ContextManager[IO[str]]:
+    """A path opened as an ASCII text file, closed on exit, or a file
+    object lent as it is and left open."""
+    if isinstance(path_or_file, str):
+        return open(path_or_file, mode, encoding="ascii")
+    return contextlib.nullcontext(path_or_file)
+
+
 def save_pmd(pmd: PointMassDensity, path_or_file: str | IO[str]) -> None:
     """Write a point-mass density in the ASCII dump format.
 
@@ -419,13 +432,7 @@ def save_pmd(pmd: PointMassDensity, path_or_file: str | IO[str]) -> None:
     then ``weights`` followed by the N weights in linear order.  Floats
     are written with 17 significant digits so the round trip is exact.
     """
-    close = False
-    if isinstance(path_or_file, str):
-        fh = open(path_or_file, "w", encoding="ascii")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with _opened(path_or_file, "w") as fh:
         g = pmd.grid
         fh.write(f"nx {g.dim}\n")
         fh.write("counts " + " ".join(str(n) for n in g.counts) + "\n")
@@ -434,20 +441,11 @@ def save_pmd(pmd: PointMassDensity, path_or_file: str | IO[str]) -> None:
         fh.write("weights\n")
         for w in pmd.weights:
             fh.write(f"{w:.17g}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def load_pmd(path_or_file: str | IO[str]) -> PointMassDensity:
     """Read a point-mass density written by :func:`save_pmd`."""
-    close = False
-    if isinstance(path_or_file, str):
-        fh = open(path_or_file, "r", encoding="ascii")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with _opened(path_or_file, "r") as fh:
         def fields(expected: str) -> list[str]:
             line = fh.readline()
             parts = line.split()
@@ -464,8 +462,4 @@ def load_pmd(path_or_file: str | IO[str]) -> PointMassDensity:
         if fields("weights"):
             raise ValueError("malformed dump: 'weights' line must be bare")
         weights = np.array([float(tok) for tok in fh.read().split()])
-        grid = LatticeGrid(counts, basis, center)
-        return PointMassDensity(grid, weights)
-    finally:
-        if close:
-            fh.close()
+    return PointMassDensity(LatticeGrid(counts, basis, center), weights)

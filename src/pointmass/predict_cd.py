@@ -202,8 +202,10 @@ def stable_substep_count(model: ContinuousDynamicsModel, grid: LatticeGrid) -> i
     moved by ``exp(A T)`` (ignored when not finite).  Offsets of 1, 2,
     4, ... from there bracket the answer, and bisection closes the
     bracket.  No count above ``_MAX_SUBSTEPS`` is probed, and none at all
-    when the grid's own basis alone needs more.  Each probe decides on the
-    substep bases of :func:`_doubled_flow_powers`.  Those differ from the
+    when the grid's own basis alone needs more.  A probe whose first or
+    last substep alone breaks the margin is rejected without a chain;
+    any other decides on the substep bases of
+    :func:`_doubled_flow_powers`.  Those differ from the
     exact chain of :func:`_schedule` by rounding only, and the schedule
     still checks every substep of that chain against the limit itself.
     """
@@ -219,6 +221,10 @@ def stable_substep_count(model: ContinuousDynamicsModel, grid: LatticeGrid) -> i
         if substeps == 1:
             return True
         flow = matrix_exponential(model.A, dt)
+        # substep l - 1 alone costs O(log l) products: reject before the chain
+        last = np.linalg.matrix_power(flow, substeps - 1) @ grid.basis
+        if _stability_ratios(model, last[None], dt).max() > threshold:
+            return False
         bases = _doubled_flow_powers(flow, grid.basis, substeps)
         return not (_stability_ratios(model, bases, dt) > threshold).any()
 

@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 
 from . import _validate
 from .grid import LatticeGrid, PointMassDensity, _derived_grid, _predicted_density
-from .models import DiscreteDynamicsModel, GaussianDensity
+from .models import DiscreteDynamicsModel, GaussianDensity, _exp_flushed
 from .transforms import convolve_fft_nd
 
 __all__ = [
@@ -124,8 +124,10 @@ def predict_standard(
 
     Streams row blocks of the transition matrix against the weight
     vector, so memory stays bounded for large grids.  Gaussian noise
-    takes a whitened inner-product path; any other density is evaluated
-    blockwise through its callable.
+    takes a whitened inner-product path whose exponentials go through
+    the density's own underflow rule (0 below the smallest normal
+    float); any other density is evaluated blockwise through its
+    callable.
     """
     _validate.same_dimension(model, pmd.grid, "density")
     grid = pmd.grid
@@ -155,8 +157,7 @@ def predict_standard(
             g += alpha[:, None]
             g += beta
             g *= -0.5
-            np.exp(g, out=g)
-            out[lo : lo + block] = g @ weights
+            out[lo : lo + block] = _exp_flushed(g) @ weights
         out *= scale
     else:
         block = max(1, int(_BLOCK_BYTES / (24 * n * grid.dim)))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,7 +46,6 @@ def _next_smooth(n: int) -> int:
     return best
 
 
-@lru_cache(maxsize=64)
 def _padded_length(count: int) -> int:
     """Fast circular transform length for the same-size convolution.
 

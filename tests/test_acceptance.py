@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they complete. Criterion 5, which times the 5-dimensional dense reference,
-takes several minutes. Criterion 4 takes about 6 s: it fits the log-log
+they complete. Criterion 5, which times the 5-dimensional dense reference
+four times, takes about 3 minutes on a 2-core container. Criterion 4 takes about 6 s: it fits the log-log
 slope of the standard predictor over N = 257 ... 4097 (its quadratic
 matrix work) and of the efficient predictor over N = 4097 ... 1048577,
 where its FFT convolution outweighs the fixed per-call cost.

@@ -59,7 +59,7 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
-# the dense 5-D step of dd_5d_bench takes minutes; it is only loaded here
+# the dense 5-D step of dd_5d_bench takes about 40 s; it is only loaded here
 SMALL_SCENARIOS = [p for p in SCENARIOS if p.stem != "dd_5d_bench"]
 
 
@@ -260,10 +260,42 @@ def test_bench_cli_csv_output(tmp_path, capsys):
     path = write_scenario(tmp_path, dd_scenario_dict((21,)))
     code = main(["bench", path, "--repeats", "3"])
     assert code == 0
-    out = capsys.readouterr().out
-    header, *rows = out.strip().splitlines()
+    captured = capsys.readouterr()
+    header, *rows = captured.out.strip().splitlines()
     assert header == "predictor,n_x,counts,N,median_s,ratio"
-    assert len(rows) == 2
+    assert [row.split(",")[:4] for row in rows] == [
+        ["standard", "1", "21", "21"],
+        ["efficient", "1", "21", "21"],
+    ]
+    assert captured.err == ""
+
+
+def test_bench_cli_sweep_reports_slopes_on_stderr(tmp_path, capsys):
+    path = write_scenario(tmp_path, dd_scenario_dict((21,)))
+    assert main(["bench", path, "--repeats", "3", "--sweep", "21,41,"]) == 0
+    captured = capsys.readouterr()
+    header, *rows = captured.out.strip().splitlines()
+    assert [row.split(",")[3] for row in rows] == ["21", "21", "41", "41"]
+    slopes = captured.err.splitlines()
+    assert [line.split()[:2] for line in slopes] == [
+        ["slope", "efficient"],
+        ["slope", "standard"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "args", [["bench", "--repeats", "3"], ["compare"]], ids=["bench", "compare"]
+)
+def test_bench_and_compare_have_no_out_option(args, tmp_path, capsys):
+    # both write to stdout only: a copy comes from shell redirection
+    path = write_scenario(tmp_path, dd_scenario_dict((21,)))
+    out = tmp_path / "copy.txt"
+    command, *rest = args
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, *rest, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- compare ------------------------------------------------------------------------
@@ -297,6 +329,17 @@ def test_compare_cli_pass_exit_code(tmp_path, capsys):
     assert main(["compare", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
+
+
+def test_compare_cli_fail_exit_code(tmp_path, capsys):
+    # noise far wider than the grid: the middle row misses most offsets
+    data = dd_scenario_dict((21,))
+    data["noise"]["covariance"] = [[25.0]]
+    path = write_scenario(tmp_path, data)
+    assert main(["compare", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["max_rel_weight_diff"] > report["threshold"]
 
 
 def test_compare_cli_rejects_even_counts(tmp_path, capsys):

@@ -372,8 +372,10 @@ def test_dump_round_trip_exact():
     ).normalized()
     buf = io.StringIO()
     save_pmd(pmd, buf)
+    assert not buf.closed
     buf.seek(0)
     back = load_pmd(buf)
+    assert not buf.closed  # a lent file object stays open
     assert back.grid == pmd.grid
     np.testing.assert_array_equal(back.weights, pmd.weights)
 
@@ -386,6 +388,52 @@ def test_dump_round_trip_file(tmp_path):
     back = load_pmd(path)
     assert back.grid == pmd.grid
     np.testing.assert_array_equal(back.weights, pmd.weights)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nx 1\nsteps 3\n", "expected 'counts' line"),
+        ("nx 2\ncounts 3\n", "counts length does not match nx"),
+        ("nx 1\ncounts 1\nbasis 1\ncenter 0\nweights 1\n1\n", "must be bare"),
+    ],
+    ids=["wrong-header", "counts-length", "weights-not-bare"],
+)
+def test_load_rejects_malformed_dumps(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_pmd(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "basis, center, message",
+    [
+        ([[1.0]], [0.0, 0.0], r"basis must be \(2, 2\)"),
+        (np.eye(2), [0.0], r"center must be \(2,\)"),
+    ],
+    ids=["basis", "center"],
+)
+def test_grid_rejects_misshapen_basis_and_center(basis, center, message):
+    with pytest.raises(ValueError, match=message):
+        LatticeGrid((3, 3), basis, center)
+
+
+def test_lattice_coordinates_of_stacked_points():
+    g = LatticeGrid((7, 5), [[0.8, 0.1], [0.0, 0.6]], [0.4, -0.2])
+    coords = g.lattice_coordinates(g.points)
+    np.testing.assert_allclose(
+        coords, [g.multi_index(k) for k in range(g.size)], rtol=0, atol=1e-12
+    )
+    stacked = g.points.reshape(5, 7, 2)
+    np.testing.assert_array_equal(g.lattice_coordinates(stacked), coords.reshape(5, 7, 2))
+    np.testing.assert_allclose(g.lattice_coordinates(g.points[3]), coords[3], rtol=1e-15)
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+        g.lattice_coordinates([0.0, 0.0, 0.0])
+
+
+def test_resample_rejects_a_grid_of_another_dimension():
+    pmd = PointMassDensity(LatticeGrid((3,), [[1.0]], [0.0]), np.ones(3))
+    with pytest.raises(ValueError, match="dimension"):
+        pmd.resampled_onto(LatticeGrid((3, 3), np.eye(2), [0.0, 0.0]))
 
 
 # -- equality ------------------------------------------------------------------------

@@ -65,6 +65,9 @@ def test_expm_matches_scipy_for_desk_scale_matrices():
 def test_expm_rejects_non_finite():
     with pytest.raises(ValueError):
         matrix_exponential(np.array([[np.nan]]))
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            matrix_exponential(np.eye(2), t)
 
 
 # -- densities ------------------------------------------------------------------
@@ -173,6 +176,12 @@ def test_gaussian_density_rejects_non_finite(cov, mean):
         GaussianDensity(cov, mean=mean)
 
 
+@pytest.mark.parametrize("mean", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+def test_gaussian_density_rejects_misshapen_mean(mean):
+    with pytest.raises(ValueError, match=r"mean must have shape \(2,\)"):
+        GaussianDensity(np.eye(2), mean=mean)
+
+
 @pytest.mark.parametrize("scales", [[math.nan], [math.inf], [1.0, math.nan], [0.0], [-1.0]])
 def test_laplace_density_rejects_bad_scales(scales):
     with pytest.raises(ValueError, match="scales"):
@@ -255,6 +264,14 @@ def test_dd_model_wraps_and_checks_custom_noise():
     model = DiscreteDynamicsModel(np.eye(1), lambda pts: pts[..., 0])
     with pytest.raises(ValueError, match="negative"):
         model.noise(np.array([[-1.0]]))
+    for noise, message in [
+        (lambda pts: pts, r"returned shape \(2, 1\), expected \(2,\)"),
+        (lambda pts: np.full(pts.shape[:-1], math.inf), "non-finite"),
+        (lambda pts: np.full(pts.shape[:-1], math.nan), "non-finite"),
+    ]:
+        model = DiscreteDynamicsModel(np.eye(1), noise)
+        with pytest.raises(ValueError, match=message):
+            model.noise(np.array([[0.5], [1.0]]))
 
 
 def test_dd_model_noise_covariance_passthrough():
@@ -265,6 +282,12 @@ def test_dd_model_noise_covariance_passthrough():
 def test_cd_model_rejects_offdiagonal_diffusion():
     with pytest.raises(ValueError, match="diagonal"):
         ContinuousDynamicsModel(np.eye(2), np.array([[1.0, 0.1], [0.1, 1.0]]))
+
+
+@pytest.mark.parametrize("q", [[0.1], [0.1, 0.2, 0.3], np.eye(3)])
+def test_cd_model_rejects_misshapen_diffusion(q):
+    with pytest.raises(ValueError, match=r"Q must have shape \(2, 2\)"):
+        ContinuousDynamicsModel(np.eye(2), q)
 
 
 def test_cd_model_rejects_negative_diffusion():

@@ -657,9 +657,34 @@ def test_stable_substep_count_starts_from_the_period_ends(monkeypatch):
     # of the count, so the search needs no doubling from 1
     grid = LatticeGrid.spanning((129, 129), (0.0, 0.0), (6.0, 6.0))
     model = ContinuousDynamicsModel(np.diag([-0.5, -0.2]), np.diag([0.4, 0.3]))
+    original = predict_cd._doubled_flow_powers
+    chains = []
+
+    def recording(flow, basis, count):
+        chains.append(count)
+        return original(flow, basis, count)
+
+    monkeypatch.setattr(predict_cd, "_doubled_flow_powers", recording)
     with counted_exponentials(monkeypatch) as calls:
         assert stable_substep_count(model, grid) == 309
     assert 1 <= len(calls) <= 5
+    # 308 fails on its last substep, before its chain is built
+    assert chains == [310, 309]
+
+
+def test_stable_substep_count_rejects_on_the_last_substep_without_a_chain(monkeypatch):
+    # exp(-30 T) shrinks the lattice so much that every count up to the cap
+    # fails on its last substep: the search brackets up to the cap and
+    # raises, and no probe builds its substep chain
+    grid = LatticeGrid.axis_aligned((9, 9), (0.5, 0.5), (0.0, 0.0))
+    model = ContinuousDynamicsModel(-30.0 * np.eye(2), np.eye(2))
+
+    def no_chain(flow, basis, count):
+        raise AssertionError(f"built a chain of {count} substeps")
+
+    monkeypatch.setattr(predict_cd, "_doubled_flow_powers", no_chain)
+    with pytest.raises(ValueError, match="no substep count up to 10000000"):
+        stable_substep_count(model, grid)
 
 
 def test_stable_substep_count_over_the_cap_raises_before_any_flow(monkeypatch):
