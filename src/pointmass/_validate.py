@@ -12,19 +12,20 @@ import numpy as np
 from numpy.typing import NDArray
 
 
+def _is_real(value: Any) -> bool:
+    """A real but not a ``bool``, which would pass as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def is_count(value: Any, minimum: int = 1) -> bool:
     """A real of at least ``minimum`` without a fractional part: 2.0
-    passes, 2.5 fails rather than being truncated."""
-    return (
-        isinstance(value, numbers.Real)
-        and value >= minimum
-        and float(value).is_integer()
-    )
+    passes, 2.5 fails rather than being truncated, and ``True`` fails."""
+    return _is_real(value) and value >= minimum and float(value).is_integer()
 
 
 def is_positive_finite(value: Any) -> bool:
-    """A real in ``(0, inf)``."""
-    return isinstance(value, numbers.Real) and 0 < value < math.inf
+    """A real in ``(0, inf)``; ``True`` fails."""
+    return _is_real(value) and 0 < value < math.inf
 
 
 def odd_counts(counts: Sequence[int], what: str) -> None:

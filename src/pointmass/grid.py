@@ -453,7 +453,10 @@ def load_pmd(path_or_file: str | IO[str]) -> PointMassDensity:
                 raise ValueError(f"malformed dump: expected '{expected}' line")
             return parts[1:]
 
-        nx = int(fields("nx")[0])
+        nx_fields = fields("nx")
+        if len(nx_fields) != 1:
+            raise ValueError("malformed dump: 'nx' line must hold one count")
+        nx = int(nx_fields[0])
         counts = tuple(int(v) for v in fields("counts"))
         if len(counts) != nx:
             raise ValueError("malformed dump: counts length does not match nx")

@@ -200,7 +200,7 @@ def predict_inflated(
 
     The source grid is inflated so that, after transformation, the
     predictive hull also covers ``coverage`` standard deviations of the
-    state noise per axis; the weights are interpolated onto the enlarged
+    state noise per axis; the weights are zero-padded onto the enlarged
     grid first.  Requires a noise density that exposes its covariance.
     """
     cov = model.noise_covariance
@@ -212,6 +212,6 @@ def predict_inflated(
     f_inv = np.linalg.inv(model.F)
     source_cov = f_inv @ cov @ f_inv.T
     bigger = pmd.grid.inflated(source_cov, coverage)
-    if bigger.counts != pmd.grid.counts:
-        pmd = pmd.resampled_onto(bigger)
-    return predict_efficient(pmd, model, normalized=normalized)
+    pad = [((m - n) // 2,) * 2 for m, n in zip(bigger.counts, pmd.grid.counts)]
+    padded = PointMassDensity._trusted(bigger, np.pad(pmd.physical, pad).reshape(-1))
+    return predict_efficient(padded, model, normalized=normalized)

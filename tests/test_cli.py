@@ -218,12 +218,32 @@ def test_predict_cli_counts_not_a_list_exit_code(tmp_path, capsys):
     assert "'grid.counts'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("coverage", [[3.0], "3.0", 0.0, float("inf")])
+@pytest.mark.parametrize("coverage", [[3.0], "3.0", 0.0, float("inf"), True])
 def test_predict_cli_bad_inflation_coverage_exit_code(coverage, tmp_path, capsys):
     data = dd_scenario_dict((21,), predictor="efficient")
     data["inflation_coverage"] = coverage
     assert main(["predict", write_scenario(tmp_path, data)]) == 2
     assert "'inflation_coverage'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, field, message",
+    [
+        ("dd", "steps", "steps must be a nonnegative integer"),
+        ("cd", "substeps", "substeps must be a positive integer"),
+        ("cd", "sampling_period", "sampling period must be positive"),
+        ("dd", "counts", "counts must be positive integers"),
+    ],
+)
+def test_predict_cli_boolean_numbers_exit_code(kind, field, message, tmp_path, capsys):
+    # bool is an int in Python: a JSON true must not pass as 1
+    data = dd_scenario_dict((21,)) if kind == "dd" else cd_scenario_dict((21,))
+    if field == "counts":
+        data["grid"]["counts"] = [True]
+    else:
+        data[field] = True
+    assert main(["predict", write_scenario(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # -- bench --------------------------------------------------------------------------

@@ -393,11 +393,12 @@ def test_dump_round_trip_file(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("nx\ncounts 1\n", "'nx' line must hold one count"),
         ("nx 1\nsteps 3\n", "expected 'counts' line"),
         ("nx 2\ncounts 3\n", "counts length does not match nx"),
         ("nx 1\ncounts 1\nbasis 1\ncenter 0\nweights 1\n1\n", "must be bare"),
     ],
-    ids=["wrong-header", "counts-length", "weights-not-bare"],
+    ids=["bare-nx", "wrong-header", "counts-length", "weights-not-bare"],
 )
 def test_load_rejects_malformed_dumps(text, message):
     with pytest.raises(ValueError, match=message):

@@ -305,7 +305,7 @@ def test_cd_model_rejects_bad_substeps():
     for substeps in (0, -3, 2.5, math.nan, math.inf, "30"):
         with pytest.raises(ValueError, match="substeps"):
             ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], substeps=substeps)
-    for period in (0.0, -1.0, math.inf, math.nan):
+    for period in (0.0, -1.0, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="sampling period"):
             ContinuousDynamicsModel(np.zeros((1, 1)), [[0.1]], sampling_period=period)
     # integral values are accepted, as ints

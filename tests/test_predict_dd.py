@@ -447,6 +447,54 @@ def test_inflation_recovers_offgrid_mass():
     assert abs(lost_wide) < 1e-6
 
 
+def sheared_inflation_case(dim, seed):
+    """Seeded sheared grid off the origin, random positive weights that are
+    not normalized, and a Gaussian model, with the grid inflation picks."""
+    rng = np.random.default_rng(seed)
+    basis = np.diag(rng.uniform(0.3, 0.6, dim)) + np.triu(rng.uniform(-0.1, 0.1, (dim, dim)), 1)
+    grid = LatticeGrid((7,) * dim, basis, rng.uniform(-2.0, 2.0, dim))
+    pmd = PointMassDensity(grid, rng.uniform(0.1, 3.0, grid.size))
+    f = np.eye(dim) + rng.uniform(-0.1, 0.1, (dim, dim))
+    root = rng.uniform(-0.2, 0.2, (dim, dim))
+    cov = 0.3 * np.eye(dim) + root @ root.T
+    model = DiscreteDynamicsModel.gaussian(f, cov)
+    f_inv = np.linalg.inv(f)
+    bigger = grid.inflated(f_inv @ cov @ f_inv.T, 3.0)
+    return pmd, model, bigger
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inflated_pads_the_weights_that_resampling_reproduces(dim):
+    # the enlarged grid is a strict superset, so zero-padding puts every
+    # weight on the point that interpolation would also give it
+    pmd, model, bigger = sheared_inflation_case(dim, seed=40 + dim)
+    assert bigger.counts != pmd.grid.counts
+    expected = predict_efficient(pmd.resampled_onto(bigger, normalized=False), model)
+    out = predict_inflated(pmd, model)
+    assert out.grid == expected.grid
+    np.testing.assert_array_equal(out.weights, expected.weights)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_inflated_does_not_resample(dim, monkeypatch):
+    pmd, model, bigger = sheared_inflation_case(dim, seed=dim)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inflation must not resample")
+
+    monkeypatch.setattr(PointMassDensity, "resampled_onto", refuse)
+    out = predict_inflated(pmd, model)
+    assert out.grid.counts == bigger.counts
+
+
+def test_inflated_keeps_the_mass_of_an_unnormalized_input():
+    g = LatticeGrid.spanning((31,), (0.5,), (3.0,))
+    pmd = gaussian_pmd(g, 1.0)
+    doubled = PointMassDensity(g, 2.0 * pmd.weights)
+    model = DiscreteDynamicsModel.gaussian([[1.0]], 1.5**2)
+    assert predict_inflated(doubled, model, normalized=False).mass == pytest.approx(2.0, rel=1e-3)
+
+
 def test_inflation_keeps_counts_odd():
     g = LatticeGrid.spanning((31,), (0.0,), (3.0,))
     pmd = gaussian_pmd(g, 1.0)

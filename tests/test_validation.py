@@ -47,6 +47,7 @@ def propagate_steps(value):
 )
 def test_counts_accept_integral_floats_and_reject_the_rest(count):
     assert count(2.0) == 2
-    for value in (2.5, -1):
+    # bool is an int: True must not pass as 1
+    for value in (2.5, -1, True):
         with pytest.raises(ValueError, match="integer"):
             count(value)
